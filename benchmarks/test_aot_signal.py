@@ -3,18 +3,20 @@
 Times the section-exit signaling cost in three lanes:
 
 * ``direct`` — the default: AOT-planned exits run
-  :meth:`ConditionManager.direct_signal` (no tag probe, no relay search);
-* ``tracked`` — ``Config.aot_signal = False``: the PR-5 dependency-tracked
-  relay (the pre-AOT behavior);
+  ``ConditionManager.relay_signal(plan)``, which skips the tag probe;
+* ``tracked`` — the same exits with no plan, ``relay_signal()``: the
+  dependency-tracked relay with its tag probe (the pre-AOT behavior);
 * ``exhaustive`` — ``Config.track_dependencies = False``: the original
   scan-everything relay.
 
-Workloads: a bounded buffer and a readers-writers monitor driven end to end
-through compiled methods with idle waiters parked, and the 1-of-256 sparse
-pool from BENCH_relay_dirty.json driven at manager level.  For the sparse
-lane the per-op *write* cost (the ``__setattr__`` dirty-tracking proxy) is
-measured separately and subtracted, so the committed exit-cost ratio
-compares signaling work against signaling work.
+Workloads: the 1-of-256 sparse pool from BENCH_relay_dirty.json driven at
+manager level in every lane, plus a bounded buffer and a readers-writers
+monitor driven end to end through compiled methods with idle waiters
+parked (``direct`` and ``exhaustive`` only: compiled methods always hand
+their plan to the exit).  For the sparse lane the per-op *write* cost (the
+``__setattr__`` dirty-tracking proxy) is measured separately and
+subtracted, so the committed exit-cost ratio compares signaling work
+against signaling work.
 
 Results are written to ``BENCH_aot_signal.json`` at the repo root (set
 ``REPRO_WRITE_BENCH=1``).  The CI perf-smoke job re-runs these benches and
@@ -204,7 +206,7 @@ def bench_readers_writers() -> float:
 
 @monitor_compile
 class SparseBoard(Monitor):
-    """Minimal compiled class so the manager is direct-enabled; the bench
+    """Minimal compiled class so the manager buckets every waiter; the bench
     registers its 256-variable pool and synthesized per-variable plans."""
 
     def __init__(self):
@@ -256,11 +258,11 @@ def bench_sparse_direct(n_waiters: int, number: int) -> float:
 
     def run(n):
         with m._lock:
-            ds = mgr.direct_signal
+            rs = mgr.relay_signal
             j = 0
             for _ in range(n):
                 setattr(m, names[j], 0)
-                ds(plans[j])
+                rs(plans[j])
                 j += 1
                 if j == n_waiters:
                     j = 0
@@ -289,15 +291,12 @@ def bench_sparse_relay(n_waiters: int, number: int) -> float:
 
 
 def _lane_config(lane: str) -> None:
-    cfg = get_config()
-    cfg.track_dependencies = lane != "exhaustive"
-    cfg.aot_signal = lane == "direct"
+    get_config().track_dependencies = lane != "exhaustive"
 
 
 def run_suite() -> dict:
     cfg = get_config()
     prior_track = cfg.track_dependencies
-    prior_aot = cfg.aot_signal
     prior_compile = cfg.compile_predicates
     lanes: dict[str, dict[str, float]] = {}
     try:
@@ -308,16 +307,16 @@ def run_suite() -> dict:
             sparse_fn = (
                 bench_sparse_direct if lane == "direct" else bench_sparse_relay
             )
-            lanes[lane] = {
-                "bounded_buffer": round(bench_bounded_buffer(), 1),
-                "readers_writers": round(bench_readers_writers(), 1),
-                "sparse_256": round(sparse_fn(256, sparse_number), 1),
-            }
+            lanes[lane] = {}
+            if lane != "tracked":
+                lanes[lane]["bounded_buffer"] = round(bench_bounded_buffer(), 1)
+                lanes[lane]["readers_writers"] = round(
+                    bench_readers_writers(), 1)
+            lanes[lane]["sparse_256"] = round(sparse_fn(256, sparse_number), 1)
         _lane_config("direct")
         write_baseline = round(bench_sparse_write_baseline(256, 20000), 1)
     finally:
         cfg.track_dependencies = prior_track
-        cfg.aot_signal = prior_aot
         cfg.compile_predicates = prior_compile
 
     def exit_cost(lane: str) -> float:
@@ -339,14 +338,6 @@ def run_suite() -> dict:
         ),
         "readers_writers_direct_vs_exhaustive": round(
             lanes["exhaustive"]["readers_writers"]
-            / lanes["direct"]["readers_writers"], 2
-        ),
-        "bounded_buffer_direct_vs_tracked": round(
-            lanes["tracked"]["bounded_buffer"]
-            / lanes["direct"]["bounded_buffer"], 2
-        ),
-        "readers_writers_direct_vs_tracked": round(
-            lanes["tracked"]["readers_writers"]
             / lanes["direct"]["readers_writers"], 2
         ),
     }
@@ -386,7 +377,7 @@ def test_direct_lane_skips_all_relay_search_work():
     ``relay_buckets_scanned`` stays flat (measured as deltas after setup,
     so construction-time flushes don't count)."""
     cfg = get_config()
-    prior_track, prior_aot = cfg.track_dependencies, cfg.aot_signal
+    prior_track = cfg.track_dependencies
     try:
         _lane_config("direct")
         m, mgr, names, plans = _sparse_pool(64)
@@ -395,13 +386,12 @@ def test_direct_lane_skips_all_relay_search_work():
             scanned0 = mgr.metrics.relay_buckets_scanned
             for j in range(64):
                 setattr(m, names[j], 0)
-                mgr.direct_signal(plans[j])
+                mgr.relay_signal(plans[j])
             assert mgr.metrics.relay_skipped_aot - skipped0 == 64
             assert mgr.metrics.relay_buckets_scanned - scanned0 == 0
             assert mgr.metrics.relay_aot_fallbacks == 0
     finally:
         cfg.track_dependencies = prior_track
-        cfg.aot_signal = prior_aot
 
 
 def test_direct_exit_beats_tracked_relay_on_fresh_measurement(results):

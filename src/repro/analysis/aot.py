@@ -10,9 +10,10 @@ relay filter already compute, a ``@monitor_compile`` class can be analyzed
 matched against the read sets of every wait predicate the class can park,
 and methods whose writes are fully statically visible get a
 :class:`MethodSignalPlan`.  A planned method's section exit runs
-``ConditionManager.direct_signal(plan)``: no tag-index probe, no relay
-bucket-flush bookkeeping — just bump the written variables' generations,
-mark the (already-bucketed) readers eligible, and evaluate exactly those.
+``ConditionManager.relay_signal(plan)``, where the plan is a precondition
+for skipping the tag-index probe: the exit bumps the written variables'
+generations, marks the (already-bucketed) readers eligible, and evaluates
+exactly those.
 
 The same matching engine backs monlint's W013 so static analysis and the
 runtime agree about what is direct-signalable: W013 reports waits that are
@@ -23,10 +24,10 @@ Everything here is conservative in the same direction as the relay filter:
 
 * a method whose source is unavailable, that lets bare ``self`` escape
   (``setattr(self, ...)``, ``f(self)``), or that calls a self-method this
-  pass cannot resolve is **opaque** — no plan, generic relay exit;
-* a plan's write set is an upper bound; the runtime still guards each
-  direct exit with ``dirty <= plan.write_set`` and falls back to the full
-  relay when the observed writes escape the plan (monkeypatching, dynamic
+  pass cannot resolve is **opaque** — no plan, probing relay exit;
+* a plan's write set is an upper bound; the runtime still checks
+  ``dirty <= plan.write_set`` on each planned exit and probes the tag
+  index when the observed writes escape the plan (monkeypatching, dynamic
   attribute names), so relay invariance (Prop. 2) never rests on the
   static result alone (safety argument in docs/performance.md).
 """
@@ -50,12 +51,10 @@ from repro.preprocess.transformer import (
 
 __all__ = [
     "MethodSignalPlan",
-    "PredicateMatch",
     "NONWRITING_SELF_CALLS",
     "build_plans_for_class",
     "class_signal_plans",
     "close_write_sets",
-    "match_predicate",
     "method_summary",
     "self_call_summary",
 ]
@@ -83,22 +82,6 @@ class MethodSignalPlan:
 
     method: str
     write_set: frozenset
-
-
-@dataclass(frozen=True)
-class PredicateMatch:
-    """Static match metadata stamped on compiled predicates.
-
-    ``direct`` — the predicate's read set is known, so direct-signal exits
-    (which mark eligibility per written variable) cover it exactly;
-    ``writers`` — the planned methods whose write sets intersect the read
-    set, i.e. the sections whose exits can flip this predicate without any
-    relay search.  Opaque predicates get ``PredicateMatch(False, ())`` and
-    are re-evaluated on every exit, direct or relayed.
-    """
-
-    direct: bool
-    writers: tuple
 
 
 def self_call_summary(
@@ -249,22 +232,6 @@ def build_plans_for_class(methods: dict) -> dict:
         for name, ws in closed.items()
         if ws is not None
     }
-
-
-def match_predicate(read_set, plans: dict) -> PredicateMatch:
-    """Match one predicate's read set against a class's signal plans.
-
-    Called by the condition manager when stamping ``Predicate.aot_match``
-    at first registration, so the static result the lint pass reasons
-    about is the same one the runtime records.
-    """
-    if read_set is None:
-        return PredicateMatch(False, ())
-    writers = tuple(sorted(
-        name for name, plan in plans.items()
-        if plan.write_set & read_set
-    ))
-    return PredicateMatch(True, writers)
 
 
 # ---------------------------------------------------------------------------

@@ -24,27 +24,32 @@ their condition variables) recycle through an inactive pool.
 Dependency-tracked relay (docs/performance.md): untagged (None-tag) waiters
 no longer live in the TagIndex's exhaustive-scan list.  Waiters with a known
 predicate read set are bucketed per shared-variable name; a monitor exit
-flushes its dirty set here (:meth:`note_writes`), which queues exactly the
+flushes its dirty set here (:meth:`relay_signal`), which queues exactly the
 waiters whose predicates could have flipped.  A relay search evaluates the
 queued waiters (plus opaque-read-set ones, every time), so the untagged
 search is O(affected), not O(waiters).  Canonical shared-expression values
 used by the tag search are additionally memoized per summed read-variable
 generation.
 
+One wake path: :meth:`relay_signal` is the only section-exit routine.  An
+``@monitor_compile`` method's AOT signal plan is passed to it as a
+precondition, never as a second implementation: when the exit's dirty set
+lies inside the plan's write set, the routine skips the tag-index probe
+(every waiter of such a class also sits in the dependency buckets) and
+goes straight to the drain.  Everything else — flush, drain, poison,
+async delivery — is shared.
+
 Free-threading contract (no-GIL audit, docs/performance.md): every mutable
 structure here — ``var_gens`` bumps, ``_dirty`` flushes, dependency-bucket
-marking, the ``_eligible`` queue, waiter (de)registration, the AOT
-``direct_signal`` fast path — is only touched while the caller holds the
-monitor lock, so none of it depends on GIL atomicity.  The deliberate
-lock-free reads are (a) the direct-signal config gate's load of the global
-config generation (an int rebind: atomic pointer load on every build,
-compared only for inequality) and (b) the diagnostic snapshots
-(:meth:`dump_waiters`, :meth:`obligation_view`), which are racy by design
-and tolerate skew.
+marking, the ``_eligible`` queue, waiter (de)registration — is only
+touched while the caller holds the monitor lock, so none of it depends on
+GIL atomicity.  The deliberate lock-free reads are the diagnostic
+snapshots (:meth:`dump_waiters`, :meth:`obligation_view`), which are racy
+by design and tolerate skew.
 
 Waiterless (async) waiters: the asyncio frontend (:mod:`repro.aio`)
 registers :class:`~repro.core.waiter.AsyncWaiter` records through
-:meth:`register_async` — same buckets, same tag records, same AOT direct
+:meth:`register_async` — same buckets, same tag records, same plan-skip
 coverage, so relay invariance (Prop. 2) needs no new argument.  The two
 asymmetries are on the wake and abandon sides: a signaler that finds a
 satisfied async waiter *delivers* it (claim, deregister, run the loop
@@ -71,7 +76,6 @@ from repro.core.tag_index import TagIndex
 from repro.core.tags import TagKind, tag_predicate
 from repro.core.waiter import Waiter
 from repro.resilience import chaos as _chaos
-from repro.runtime import config as _config_state
 from repro.runtime.config import config_snapshot
 from repro.runtime.errors import WaitCancelledError, WaitTimeoutError
 from repro.runtime.metrics import Metrics, PhaseTimer
@@ -116,20 +120,21 @@ class ConditionManager:
         #: the event-loop/canceller thread *without* the monitor lock
         #: (single list ops are atomic under the GIL and internally locked
         #: on free-threaded builds); drained under the lock by the next
-        #: relay/direct signal.
+        #: relay signal.
         self._async_reap: list[Waiter] = []
         # pre-bound tag-search callbacks: binding methods per relay call
         # would allocate two method objects on every monitor exit
         self._search_expr_cb = self._search_expr
         self._search_pred_cb = self._search_pred
         # ---- dependency tracking -------------------------------------
-        #: True when the monitor participates in per-variable write
-        #: tracking (real Monitor subclasses carry a ``_dirty`` set; bare
-        #: state objects driven directly in tests do not, and keep the
-        #: exhaustive untagged scan)
-        self._tracked = hasattr(monitor, "_dirty")
+        #: the monitor's dirty set, or None when it does not participate in
+        #: per-variable write tracking (real Monitor subclasses carry a
+        #: ``_dirty`` set; bare state objects driven directly in tests do
+        #: not, and keep the exhaustive untagged scan)
+        self._dirty: Optional[set] = getattr(monitor, "_dirty", None)
+        self._tracked = self._dirty is not None
         #: per-shared-variable write generation stamps (monotonic; bumped
-        #: by :meth:`note_writes` when an exit's dirty set is flushed)
+        #: by :meth:`relay_signal` when an exit's dirty set is flushed)
         self.var_gens: dict[str, int] = {}
         #: untagged waiters with a *known* predicate read set, bucketed
         #: below; kept as a list for the exhaustive fallback scan
@@ -152,32 +157,17 @@ class ConditionManager:
         #: the read variables' generations equals ``stamp`` (any tracked
         #: write strictly increases the sum)
         self._expr_memo: dict[Any, list] = {}
-        # ---- ahead-of-time signal placement --------------------------
-        #: method → MethodSignalPlan stamped by ``@monitor_compile``
-        #: (docs/performance.md).  When plans exist and tracking is live,
-        #: *every* waiter joins the dependency buckets at registration
-        #: (tagged ones too), so a planned section exit can run
-        #: :meth:`direct_signal` — no tag-index probe, no relay search.
-        self._aot_plans = getattr(type(monitor), "_repro_aot_plans", None)
-        self._direct_enabled = (
-            mode == "autosynch" and self._tracked and bool(self._aot_plans)
+        #: True when *every* waiter — tagged ones too — joins the
+        #: dependency buckets at registration: the monitor's class carries
+        #: ``@monitor_compile`` signal plans (docs/performance.md), so an
+        #: exit that skips the tag-index probe still queues each waiter a
+        #: write can have flipped.
+        self._bucket_all = (
+            mode == "autosynch" and self._tracked
+            and bool(getattr(type(monitor), "_repro_aot_plans", None))
         )
-        #: per-generation cache of the direct-signal config gate (recomputed
-        #: only when the global config generation moves); the hot path reads
-        #: the generation int straight off the config module, skipping even
-        #: the snapshot call
-        self._gate_gen = -1
-        self._gate_ok = False
 
     # ------------------------------------------------------------------ wait
-    def wait(self, predicate: Predicate) -> None:
-        """Block until ``predicate`` holds; caller holds the monitor lock."""
-        result = predicate.fast_eval(self.monitor)
-        self.metrics.predicate_evals += 1
-        if result:
-            return
-        self.wait_blocking(predicate)
-
     def wait_blocking(self, predicate: Predicate,
                       ev: Callable[[Any], Any] | None = None,
                       *,
@@ -332,44 +322,102 @@ class ConditionManager:
             # have absorbed anyone else's wakeup, so no re-relay is needed
 
     # ---------------------------------------------------------------- signal
-    def relay_signal(self) -> Optional[Waiter]:
+    def relay_signal(self, plan=None) -> Optional[Waiter]:
         """Signal one waiter whose condition is true, if any (relay rule).
 
-        Called whenever a thread exits the monitor or goes to wait.  Returns
-        the signaled waiter (already marked) or None.  Guarantees relay
-        invariance (Prop. 2): if some waiter's predicate is true, an active
-        thread exists afterwards.
+        The one section-exit routine: called whenever a thread exits the
+        monitor or goes to wait.  Returns the signaled waiter (already
+        marked) or None.  Guarantees relay invariance (Prop. 2): if some
+        waiter's predicate is true, an active thread exists afterwards.
+
+        ``plan`` is the exiting method's AOT signal plan
+        (:class:`repro.analysis.aot.MethodSignalPlan`), if it has one — a
+        precondition, not a second path.  When tracking is live and the
+        observed dirty set lies inside ``plan.write_set``, the flush below
+        queues every waiter a write can have flipped (tagged ones too, see
+        ``_bucket_all``), so the tag-index probe cannot find anyone the
+        drain would miss and is skipped.  A dirty set that escapes the plan
+        (monkeypatched method, dynamic attribute name) counts a fallback
+        and probes as usual.
         """
         m = self.metrics
         if self._async_reap:
             self._reap_async()
+        snap = config_snapshot()
+        probe = True
+        cand = None
+        dirty = self._dirty
+        if plan is not None and self._bucket_all and snap.track_dependencies:
+            if dirty <= plan.write_set:
+                probe = False
+                m.relay_skipped_aot += 1
+            else:
+                m.relay_aot_fallbacks += 1
         # Flush the exiting section's dirty set *before* any early return:
         # per-variable generations must advance even when nobody waits, or
         # a memoized expression value could be revalidated against a stale
-        # stamp later.  Costs one truth test per relay when clean.
-        if self._tracked:
-            dirty = self.monitor._dirty
-            if dirty:
-                self.note_writes(dirty)
-                dirty.clear()
-        if self.mode == "baseline":
-            if self._waiting_baseline():
-                if config_snapshot().phase_timing:
-                    with PhaseTimer(m, "relay_time"):
-                        self._broadcast_cv.notify_all()
-                else:
+        # stamp later.  Bump each written variable's generation and mark
+        # the readers in its bucket *pending*: a marked waiter stays queued
+        # until some search evaluates it, so a relay that signals another
+        # waiter first never drops one whose predicate may have flipped
+        # (Prop. 2).  On a skipping exit the first fresh reader is held out
+        # as ``cand`` and evaluated before the queue — the typical exit
+        # flips exactly one waiter, and this skips its queue roundtrip.
+        if dirty:
+            gens = self.var_gens
+            buckets = self._dep_buckets
+            eligible = self._eligible
+            for name in dirty:
+                gens[name] = gens.get(name, 0) + 1
+                bucket = buckets.get(name)
+                if bucket:
+                    if probe:
+                        m.relay_buckets_scanned += 1
+                    for w in bucket:
+                        if not w.pending:
+                            w.pending = True
+                            if probe or cand is not None:
+                                eligible.append(w)
+                            else:
+                                cand = w
+            dirty.clear()
+        if probe and self.mode == "baseline":  # a skipping exit is autosynch
+            if snap.phase_timing:
+                with PhaseTimer(m, "relay_time"):
                     self._broadcast_cv.notify_all()
-                m.bump("broadcasts")
+            else:
+                self._broadcast_cv.notify_all()
+            m.bump("broadcasts")
             return None
         if not self.waiters:
             return None
         if _chaos.enabled:
             _chaos.fire("relay", self.monitor)
-        if config_snapshot().phase_timing:
-            with PhaseTimer(m, "relay_time"):
-                waiter = self._find_satisfied_waiter()
+        t0 = time.perf_counter() if snap.phase_timing else None
+        if probe or self._always:
+            if cand is not None:
+                # opaque waiters drain first; cand is next out of the queue
+                self._eligible.append(cand)
+            waiter = self._find_satisfied_waiter(probe, snap)
         else:
-            waiter = self._find_satisfied_waiter()
+            # The skipping exit's drain is cand, then the queue.  cand is
+            # evaluated here, like a drained queue entry, and the search
+            # runs only if the queue holds more.
+            waiter = None
+            if cand is not None:
+                cand.pending = False
+                if not cand.signaled:
+                    m.predicate_evals += 1
+                    try:
+                        if cand.eval_fn(self.monitor):
+                            waiter = cand
+                    except BaseException as exc:  # noqa: BLE001 — owner re-raises
+                        cand.poison = exc
+                        waiter = cand
+            if waiter is None and self._eligible:
+                waiter = self._find_satisfied_waiter(False, snap)
+        if t0 is not None:
+            m.add_time("relay_time", time.perf_counter() - t0)
         # A satisfied async waiter consumes no baton: deliver its loop
         # callback (it has no thread that would re-enter the monitor and
         # relay on exit) and keep searching on its behalf.
@@ -378,7 +426,7 @@ class ConditionManager:
                 _chaos.fire("signal", waiter)
             if self._deliver_async(waiter):
                 m.bump("signals")
-            waiter = self._find_satisfied_waiter()
+            waiter = self._find_satisfied_waiter(probe, snap)
         if waiter is not None:
             if _chaos.enabled:
                 _chaos.fire("signal", waiter)
@@ -386,152 +434,9 @@ class ConditionManager:
             m.bump("signals")
         return waiter
 
-    def direct_signal(self, plan) -> Optional[Waiter]:
-        """Section exit of an AOT-planned method: targeted signal, no search.
-
-        The compile-time matcher (:mod:`repro.analysis.aot`) proved every
-        statically visible write of the exiting method lands in
-        ``plan.write_set``; because registration is *unified* when plans
-        exist (tagged waiters join the dependency buckets too), the only
-        waiters whose predicates can have flipped are the opaque ones
-        (``_always``, evaluated every exit) and the bucketed readers of the
-        written variables — marked pending right here, without the
-        per-bucket relay bookkeeping, and drained exactly like the relay's
-        filtered scan.  Relay invariance (Prop. 2) holds for the same
-        reason it does under dependency filtering: a waiter leaves the
-        eligible queue only by being evaluated, and every written
-        variable's readers are queued before any early return.
-
-        The static result is never trusted alone: if the observed dirty
-        set escapes the plan (monkeypatched method, dynamic attribute
-        name), or any config lane wants the generic path (``aot_signal``
-        off for A/B, tracking off, phase timing on so Table 2.1 stays
-        complete), the exit falls back to :meth:`relay_signal`.
-        """
-        if not self._direct_enabled:
-            return self.relay_signal()
-        # config gate, recomputed only when the global config generation
-        # moves (reading the generation int off the module skips even the
-        # snapshot call — this runs on every planned section exit; the
-        # racy module-int load is an atomic pointer load on every build,
-        # and a stale value only delays the gate refresh by one exit)
-        gen = _config_state._generation
-        if gen != self._gate_gen:
-            self._gate_gen = gen
-            snap = config_snapshot()
-            self._gate_ok = (snap.aot_signal and snap.track_dependencies
-                             and not snap.phase_timing)
-        if not self._gate_ok:
-            return self.relay_signal()
-        m = self.metrics
-        monitor = self.monitor
-        if self._async_reap:
-            self._reap_async()
-        dirty = monitor._dirty
-        cand = None
-        if dirty:
-            if not dirty <= plan.write_set:
-                m.relay_aot_fallbacks += 1
-                return self.relay_signal()  # flushes dirty itself
-            # inline generation bump + reader marking: same effect as
-            # note_writes, minus the relay bucket-flush accounting — the
-            # exit performs zero relay-search work.  The first fresh reader
-            # is held out as ``cand`` (marked pending for cross-bucket
-            # dedup, but not queued): the typical exit flips exactly one
-            # waiter, and evaluating it in place skips the queue roundtrip.
-            gens = self.var_gens
-            buckets = self._dep_buckets
-            eligible = self._eligible
-            for name in dirty:
-                gens[name] = gens.get(name, 0) + 1
-                bucket = buckets.get(name)
-                if bucket:
-                    for w in bucket:
-                        if not w.pending:
-                            w.pending = True
-                            if cand is None:
-                                cand = w
-                            else:
-                                eligible.append(w)
-            dirty.clear()
-        m.relay_skipped_aot += 1
-        if not self.waiters:
-            if cand is not None:   # pragma: no cover — cand is registered
-                self._eligible.append(cand)
-            return None
-        chaos_on = _chaos.enabled
-        if chaos_on:
-            _chaos.fire("relay", monitor)
-        # _search_pred inlined (signaled check, eval count, poison-on-raise):
-        # one exit evaluates at most a handful of candidates, and the extra
-        # frame per candidate is the difference between this path and the
-        # relay it replaces
-        evals = 0
-        waiter = None
-        if self._always:
-            for w in self._always:
-                if w.signaled:
-                    continue
-                evals += 1
-                try:
-                    hit = w.eval_fn(monitor)
-                except BaseException as exc:  # noqa: BLE001 — owner re-raises
-                    w.poison = exc
-                    hit = True
-                if hit:
-                    waiter = w
-                    break
-        if cand is not None:
-            # evaluated exactly like a drained queue entry; when an opaque
-            # waiter already won, cand goes to the queue unevaluated
-            if waiter is None:
-                cand.pending = False
-                if not cand.signaled:
-                    evals += 1
-                    try:
-                        hit = cand.eval_fn(monitor)
-                    except BaseException as exc:  # noqa: BLE001
-                        cand.poison = exc
-                        hit = True
-                    if hit:
-                        waiter = cand
-            else:
-                self._eligible.append(cand)
-        if waiter is None:
-            eligible = self._eligible
-            while eligible:
-                w = eligible.pop()
-                if not w.pending:
-                    continue  # deregistered, or a stale duplicate entry
-                w.pending = False
-                if w.signaled:
-                    continue
-                evals += 1
-                try:
-                    hit = w.eval_fn(monitor)
-                except BaseException as exc:  # noqa: BLE001 — owner re-raises
-                    w.poison = exc
-                    hit = True
-                if hit:
-                    waiter = w
-                    break
-        if evals:
-            m.predicate_evals += evals
-        # async waiters: deliver and continue the drain on their behalf
-        # (see relay_signal); in direct mode every waiter sits in the
-        # dependency structures, so _scan_untagged is the full continuation
-        while waiter is not None and waiter.deliver is not None:
-            if chaos_on:
-                _chaos.fire("signal", waiter)
-            if self._deliver_async(waiter):
-                m.bump("signals")
-            waiter = self._scan_untagged()
-        if waiter is not None:
-            if chaos_on:
-                _chaos.fire("signal", waiter)
-            waiter.signal()
-            m.bump("signals")
-        return waiter
+    #: an alias, not a second routine: benchmarks/e2e/tracer.py patches
+    #: both names
+    direct_signal = relay_signal
 
     def poison_all(self, make_exc: Callable[[], BaseException]) -> int:
         """Poison and wake every parked waiter (caller holds the lock).
@@ -563,7 +468,7 @@ class ConditionManager:
         """Register a waiterless waiter (caller holds the monitor lock).
 
         The record joins exactly the structures a threaded waiter would —
-        tag index, dependency buckets, AOT direct-signal coverage — so
+        tag index, dependency buckets, plan-skip coverage — so
         every signaling discipline covers it with no special cases on the
         search side.  Baseline mode is refused: broadcasts wake parked
         threads, and an async waiter has none.
@@ -622,94 +527,94 @@ class ConditionManager:
                 break
             self._deregister(w)
 
-    def note_writes(self, names) -> None:
-        """Bump per-variable generations; queue untagged waiters that read
-        a written name.  Caller holds the monitor lock.
+    def _find_satisfied_waiter(self, probe: bool = True,
+                               snap=None) -> Optional[Waiter]:
+        """One relay search: the tag-index probe (equivalence + threshold,
+        skipped when ``probe`` is False), then the untagged drain.  ``snap``
+        is the caller's config snapshot, if it holds one.
 
-        Marked waiters become *pending* and stay queued until some relay
-        search actually evaluates them — a relay that signals another
-        waiter first leaves the rest queued, so dependency filtering never
-        drops a waiter whose predicate may have flipped (Prop. 2).
+        The drain re-checks opaque-read-set waiters on every search (a
+        write to anything could have flipped them), then the eligible
+        queue.  Bucketed waiters are evaluated only while ``pending``:
+        freshly parked, or some variable in their read set was written
+        since they last evaluated false — if neither holds, the predicate
+        still has the value the last evaluation saw, so skipping it cannot
+        lose a signal (docs/performance.md).  Candidates are evaluated
+        inline — signaled check, eval count, poison-on-raise as in
+        :meth:`_search_pred` — because one frame per candidate is
+        measurable on every exit.
         """
-        gens = self.var_gens
-        buckets = self._dep_buckets
-        eligible = self._eligible
-        m = self.metrics
-        for name in names:
-            gens[name] = gens.get(name, 0) + 1
-            bucket = buckets.get(name)
-            if bucket:
-                m.relay_buckets_scanned += 1
-                for w in bucket:
-                    if not w.pending:
-                        w.pending = True
-                        eligible.append(w)
-
-    def _find_satisfied_waiter(self) -> Optional[Waiter]:
-        m = self.metrics
         if self.mode == "autosynch_t":
+            pred_true = self._search_pred
             for waiter in self.waiters:
-                if waiter.signaled:
-                    continue
-                m.predicate_evals += 1
-                if self._safe_evaluate(waiter):
+                if pred_true(waiter):
                     return waiter
             return None
-        # autosynch: tag-index search (equivalence + threshold), then the
-        # dependency-filtered untagged scan
-        if config_snapshot().phase_timing:
-            with PhaseTimer(m, "tag_time"):
-                waiter = self.index.search(self._search_expr_cb, self._search_pred_cb)
-        else:
-            waiter = self.index.search(self._search_expr_cb, self._search_pred_cb)
-        if waiter is not None:
-            return waiter
-        return self._scan_untagged()
-
-    def _scan_untagged(self) -> Optional[Waiter]:
-        """Find a satisfied waiter among None-tag registrations.
-
-        Opaque-read-set waiters are re-checked on every relay (a write to
-        anything could have flipped them).  Bucketed waiters are evaluated
-        only while ``pending``: freshly parked, or some variable in their
-        read set was written since they last evaluated false — if neither
-        holds, the predicate still has the value the last evaluation saw,
-        so skipping it cannot lose a signal (docs/performance.md).
-        """
-        pred_true = self._search_pred
+        if snap is None:
+            snap = config_snapshot()
+        if probe:
+            if snap.phase_timing:
+                with PhaseTimer(self.metrics, "tag_time"):
+                    waiter = self.index.search(self._search_expr_cb,
+                                               self._search_pred_cb)
+            else:
+                waiter = self.index.search(self._search_expr_cb,
+                                           self._search_pred_cb)
+            if waiter is not None:
+                return waiter
+        monitor = self.monitor
+        evals = 0
+        found = None
         for w in self._always:
-            if pred_true(w):
-                return w
-        eligible = self._eligible
-        if not eligible and not self._untagged:
-            return None
-        if self._tracked and config_snapshot().track_dependencies:
-            m = self.metrics
-            evaluated = 0
-            found = None
-            while eligible:
-                w = eligible.pop()
-                if not w.pending:
-                    continue  # deregistered, or a stale duplicate entry
-                # clear *before* evaluating: a True result leads to a
-                # signal (the waiter consumes its own wakeup), and a
-                # False result must leave the flag armed for re-marking
-                w.pending = False
-                evaluated += 1
-                if pred_true(w):
-                    found = w
-                    break
-            m.relay_dirty_skips += len(self._untagged) - evaluated
-            return found
-        # exhaustive fallback (tracking off, or a bare state object with no
-        # write instrumentation): evaluate every untagged waiter.  Drain
-        # the queue so pending flags stay consistent if tracking turns on.
-        while eligible:
-            eligible.pop().pending = False
-        for w in self._untagged:
-            if pred_true(w):
-                return w
-        return None
+            if w.signaled:
+                continue
+            evals += 1
+            try:
+                hit = w.eval_fn(monitor)
+            except BaseException as exc:  # noqa: BLE001 — owner re-raises
+                w.poison = exc
+                hit = True
+            if hit:
+                found = w
+                break
+        else:
+            eligible = self._eligible
+            if self._tracked and snap.track_dependencies:
+                popped = 0
+                while eligible:
+                    w = eligible.pop()
+                    if not w.pending:
+                        continue  # deregistered, or a stale duplicate entry
+                    # clear *before* evaluating: a True result leads to a
+                    # signal (the waiter consumes its own wakeup), and a
+                    # False result must leave the flag armed for re-marking
+                    w.pending = False
+                    popped += 1
+                    if w.signaled:
+                        continue
+                    evals += 1
+                    try:
+                        hit = w.eval_fn(monitor)
+                    except BaseException as exc:  # noqa: BLE001
+                        w.poison = exc
+                        hit = True
+                    if hit:
+                        found = w
+                        break
+                if probe:
+                    self.metrics.relay_dirty_skips += (
+                        len(self._untagged) - popped)
+            else:
+                # exhaustive fallback (tracking off, or a bare state object
+                # with no write instrumentation): evaluate every untagged
+                # waiter.  Drain the queue so pending flags stay consistent
+                # if tracking turns on.
+                while eligible:
+                    eligible.pop().pending = False
+                found = next(filter(self._search_pred, self._untagged), None)
+        if evals:
+            self.metrics.predicate_evals += evals
+        return found
 
     def _search_expr(self, expr_key: Any) -> Any:
         m = self.metrics
@@ -733,18 +638,6 @@ class ConditionManager:
         return self._evaluate_expr_key(expr_key)
 
     def _search_pred(self, waiter: Waiter) -> bool:
-        # _safe_evaluate inlined: this runs once per candidate waiter on
-        # every relay search, and the extra frame is measurable at scale
-        if waiter.signaled:
-            return False
-        self.metrics.predicate_evals += 1
-        try:
-            return waiter.eval_fn(self.monitor)
-        except BaseException as exc:  # noqa: BLE001 — re-raised by the owner
-            waiter.poison = exc
-            return True
-
-    def _safe_evaluate(self, waiter: Waiter) -> bool:
         """Evaluate a waiter's predicate on behalf of another thread.
 
         A predicate that *raises* must not crash the signaling thread (it
@@ -752,6 +645,9 @@ class ConditionManager:
         exception re-raises in the thread that owns the broken predicate —
         returning True here routes the relay signal to it.
         """
+        if waiter.signaled:
+            return False
+        self.metrics.predicate_evals += 1
         try:
             return waiter.eval_fn(self.monitor)
         except BaseException as exc:  # noqa: BLE001 — re-raised by the owner
@@ -793,22 +689,11 @@ class ConditionManager:
                         if compile_ok else None
                     )
                     self._expr_reads[expr_key] = self._expr_key_reads(expr_key)
-            if self._direct_enabled:
-                waiter.aot_direct = True
-                pred = waiter.predicate
-                if pred.aot_match is None:
-                    # stamp the static match metadata with the same engine
-                    # monlint runs, so lint and runtime agree (lazy import:
-                    # the analysis package never loads on relay-only paths)
-                    from repro.analysis.aot import match_predicate
-                    pred.aot_match = match_predicate(
-                        pred.read_set(), self._aot_plans)
-                if not waiter.untagged:
-                    # unified registration: tagged waiters join the
-                    # dependency buckets too, so a direct exit covers them
-                    # without a tag-index probe.  The tag records stay —
-                    # generic relays (baton pass, fallbacks) still use them.
-                    self._register_untagged(waiter)
+            if self._bucket_all and not waiter.untagged:
+                # tagged waiters join the dependency buckets too, so an exit
+                # that skips the tag-index probe still reaches them.  The
+                # tag records stay for probing exits.
+                self._register_untagged(waiter)
 
     def _register_untagged(self, waiter: Waiter) -> None:
         waiter.untagged = True
@@ -986,12 +871,6 @@ class ConditionManager:
                 continue  # racy read of a live structure; skip, don't fail
             out.append((w, rs, desc))
         return out
-
-    def _waiting_baseline(self) -> bool:
-        # Condition keeps private waiter list; len() of it is an internal
-        # detail, so track via the public API instead: notify_all on a CV
-        # with no waiters is a cheap no-op — just always report True.
-        return True
 
     def _evaluate_expr_key(self, expr_key: Any) -> Any:
         """Evaluate the canonical shared expression identified by a key.

@@ -73,7 +73,12 @@ def unmonitored(fn: Callable) -> Callable:
     return fn
 
 
-def _wrap_method(fn: Callable) -> Callable:
+def _wrap_method(fn: Callable, plan=None) -> Callable:
+    """Run ``fn`` as a critical section.  ``plan`` is the method's AOT
+    signal plan (:class:`repro.analysis.aot.MethodSignalPlan`), which
+    ``@monitor_compile`` supplies for methods whose write sets it could
+    close statically; the final exit hands it to the relay as a
+    precondition for skipping the tag-index probe (docs/performance.md)."""
     @functools.wraps(fn)
     def wrapper(self: "Monitor", *args, **kwargs):
         self._monitor_enter()
@@ -84,31 +89,6 @@ def _wrap_method(fn: Callable) -> Callable:
             # invariant torn.  Opt-in poisoning marks the monitor broken so
             # every other thread fails fast instead of computing on corrupt
             # state.  The success path pays nothing for this clause.
-            if (config_snapshot().poison_on_exception
-                    and not isinstance(exc, _CONTROL_FLOW_EXC)):
-                self.mark_broken(exc)
-            raise
-        finally:
-            self._monitor_exit()
-
-    setattr(wrapper, "_repro_wrapped", True)
-    return wrapper
-
-
-def _wrap_method_direct(fn: Callable, plan) -> Callable:
-    """Like :func:`_wrap_method`, but the section exit carries the method's
-    AOT signal plan (:class:`repro.analysis.aot.MethodSignalPlan`): the
-    final exit runs ``ConditionManager.direct_signal(plan)`` — a targeted
-    signal with zero relay-search work — instead of the generic relay.
-    Only ``@monitor_compile`` applies this, and only to methods whose
-    write sets it could close statically (docs/performance.md)."""
-    @functools.wraps(fn)
-    def wrapper(self: "Monitor", *args, **kwargs):
-        self._monitor_enter()
-        try:
-            return fn(self, *args, **kwargs)
-        except BaseException as exc:
-            # same poisoning discipline as _wrap_method
             if (config_snapshot().poison_on_exception
                     and not isinstance(exc, _CONTROL_FLOW_EXC)):
                 self.mark_broken(exc)
@@ -275,15 +255,12 @@ class Monitor(metaclass=MonitorMeta):
             try:
                 for hook in self._exit_hooks:
                     hook(self)
-                if aot_plan is not None:
-                    # AOT signal placement: this section's write set was
-                    # closed statically, so the exit signals directly and
-                    # skips the relay search (falls back inside when the
-                    # observed writes escape the plan or a config lane
-                    # wants the generic path)
-                    self._cond_mgr.direct_signal(aot_plan)
-                else:
+                # unplanned exits keep the argument-free call every other
+                # relay site makes
+                if aot_plan is None:
                     self._cond_mgr.relay_signal()
+                else:
+                    self._cond_mgr.relay_signal(aot_plan)
             finally:
                 self._lock.release()
             # fires outside the lock: a kill injected here cannot wedge the

@@ -348,8 +348,7 @@ class Predicate:
     synthesis cost.
     """
 
-    __slots__ = ("root", "conjunctions", "_evaluator", "_uses", "_read_set",
-                 "aot_match")
+    __slots__ = ("root", "conjunctions", "_evaluator", "_uses", "_read_set")
 
     def __init__(self, condition: BoolNode | Callable[..., bool] | bool):
         self.root = _as_bool(condition)
@@ -357,11 +356,6 @@ class Predicate:
         self._evaluator: Callable[[Any], Any] | None = None
         self._uses = 0
         self._read_set: Any = _READS_UNSET
-        #: static AOT match metadata (:class:`repro.analysis.aot.PredicateMatch`),
-        #: stamped at first registration with a monitor compiled for direct
-        #: signaling: which write-site plans can flip this predicate, or a
-        #: non-match record for opaque read sets.  None until stamped.
-        self.aot_match: Any = None
 
     def evaluate(self, monitor: Any) -> bool:
         return self.root.evaluate(monitor)

@@ -37,7 +37,7 @@ class Waiter:
     __slots__ = (
         "predicate", "eval_fn", "cv", "signaled", "records",
         "expr_keys", "evaler_keys", "thread_id", "poison",
-        "read_set", "untagged", "pending", "aot_direct", "deliver",
+        "read_set", "untagged", "pending", "deliver",
     )
 
     def __init__(self, predicate: Predicate, lock: threading.RLock,
@@ -70,10 +70,6 @@ class Waiter:
         self.untagged = False
         #: True while queued for (re-)evaluation at the next relay search
         self.pending = False
-        #: True when registered with a monitor whose compiled write sites
-        #: signal directly (AOT signal placement); diagnostics report the
-        #: signal path so stall triage doesn't mis-blame the relay
-        self.aot_direct = False
         #: waiterless (event-loop) waiters override this with the wake
         #: action to run instead of a CV notify; None means a parked thread
         #: owns this record and the relay signals its condition variable
@@ -110,8 +106,7 @@ class Waiter:
             reads_desc = "?"  # opaque: may read any shared variable
         else:
             reads_desc = "{" + ",".join(sorted(reads)) + "}"
-        path = "direct" if self.aot_direct else "relay"
-        return f"tid={self.thread_id} on {what} reads={reads_desc} path={path}"
+        return f"tid={self.thread_id} on {what} reads={reads_desc}"
 
     def __repr__(self):
         return f"Waiter(tid={self.thread_id}, {self.predicate!r})"
@@ -121,7 +116,7 @@ class AsyncWaiter(Waiter):
     """A waiterless waiter: a registration with no parked thread behind it.
 
     Joins the condition manager's structures exactly like a threaded waiter
-    — tag records, dependency buckets, AOT direct-signal coverage — so the
+    — tag records, dependency buckets, plan-skip coverage — so the
     relay-invariance argument (Prop. 2) is unchanged.  What differs is the
     wake side: there is no condition variable; when a signaler finds this
     waiter satisfied (or poisons it) it *claims* the record and runs

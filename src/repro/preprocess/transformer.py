@@ -483,13 +483,13 @@ def monitor_compile(cls: T) -> T:
     analysis (:mod:`repro.analysis.aot`): each method's transitively-closed
     write set is derived from its raw source, and public methods whose
     writes are fully statically visible are re-wrapped so their section
-    exits signal directly — skipping the relay search — with
-    ``cls._repro_aot_plans`` recording the per-method plans.  Methods with
-    bare-``self`` escapes, unresolvable calls, or no retrievable source
-    keep the generic relay exit, as do inherited methods (cross-class
-    writers always fall back).
+    exits hand the plan to the relay — which then skips the tag-index
+    probe — with ``cls._repro_aot_plans`` recording the per-method plans.
+    Methods with bare-``self`` escapes, unresolvable calls, or no
+    retrievable source keep the plain relay exit, as do inherited methods
+    (cross-class writers always probe).
     """
-    from repro.core.monitor import Monitor, _wrap_method, _wrap_method_direct
+    from repro.core.monitor import Monitor, _wrap_method
 
     if not issubclass(cls, Monitor):
         raise PredicateError("@monitor_compile requires a Monitor subclass")
@@ -537,6 +537,6 @@ def monitor_compile(cls: T) -> T:
         if current is None or not getattr(current, "_repro_wrapped", False):
             continue  # unmonitored / property-like: no section exit to plan
         inner = getattr(current, "__wrapped__", current)
-        setattr(cls, name, _wrap_method_direct(inner, plan))
+        setattr(cls, name, _wrap_method(inner, plan))
     cls._repro_aot_plans = aot_plans
     return cls

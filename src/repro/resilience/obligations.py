@@ -68,9 +68,10 @@ class WaiterObligation:
     var_deltas: dict = field(default_factory=dict)
     #: sections the static pass says *could* write a read variable
     candidate_sites: dict = field(default_factory=dict)
-    #: which wake path serves this waiter: "direct" when the monitor's
-    #: AOT signal plans cover it (section exits signal it without a relay
-    #: search), "relay" otherwise — so stall triage blames the right layer
+    #: which exits serve this waiter: "direct" when the monitor's class
+    #: has AOT signal plans (its planned exits reach the waiter without a
+    #: tag-index probe), "relay" otherwise — so stall triage blames the
+    #: right layer
     signal_path: str = "relay"
 
     @property
@@ -310,7 +311,7 @@ class ObligationTracker:
                 var_deltas=deltas,
                 candidate_sites=self._candidate_sites(m, deltas),
                 signal_path=(
-                    "direct" if getattr(waiter, "aot_direct", False)
+                    "direct" if getattr(type(m), "_repro_aot_plans", None)
                     else "relay"
                 ),
             ))

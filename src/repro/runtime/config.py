@@ -90,15 +90,6 @@ class Config:
     #: only the amount of redundant re-evaluation changes.
     track_dependencies: bool = True
 
-    #: Ahead-of-time signal placement: section exits of ``@monitor_compile``
-    #: methods whose write sets were statically matched against the class's
-    #: wait predicates skip the relay search and run a direct targeted
-    #: signal instead (docs/performance.md).  On by default; turn off to
-    #: A/B the dependency-tracked relay — wake sets are identical (the
-    #: differential suite in tests/test_aot_signal.py proves it), only the
-    #: per-exit search work changes.  Requires ``track_dependencies``.
-    aot_signal: bool = True
-
     #: Poison a monitor (``BrokenMonitorError`` for all current and future
     #: waiters/submitters, see docs/robustness.md) when an exception escapes
     #: one of its critical sections — a monitor method, ``synchronized``
@@ -150,7 +141,6 @@ class ConfigSnapshot:
         "analysis_checks",
         "compile_predicates",
         "track_dependencies",
-        "aot_signal",
         "poison_on_exception",
     )
 
@@ -165,7 +155,6 @@ class ConfigSnapshot:
         self.analysis_checks = cfg.analysis_checks
         self.compile_predicates = cfg.compile_predicates
         self.track_dependencies = cfg.track_dependencies
-        self.aot_signal = cfg.aot_signal
         self.poison_on_exception = cfg.poison_on_exception
 
 

@@ -62,10 +62,8 @@ NV = 4  #: shared variables v0..v3 in the differential board
 def _restore_config():
     cfg = get_config()
     prior_track = cfg.track_dependencies
-    prior_aot = cfg.aot_signal
     yield
     cfg.track_dependencies = prior_track
-    cfg.aot_signal = prior_aot
 
 
 @monitor_compile
@@ -139,7 +137,6 @@ def _drive(ops, signaling: str, kind: str) -> list[frozenset]:
     """
     cfg = get_config()
     cfg.track_dependencies = True
-    cfg.aot_signal = signaling == "direct"
     m = Board()
     mgr = m._cond_mgr
 

@@ -34,10 +34,8 @@ NV = 4  #: shared variables v0..v3 in the differential board
 def _restore_config():
     cfg = get_config()
     prior_track = cfg.track_dependencies
-    prior_aot = cfg.aot_signal
     yield
     cfg.track_dependencies = prior_track
-    cfg.aot_signal = prior_aot
 
 
 @monitor_compile
@@ -107,7 +105,6 @@ def _fresh_board():
 
 def test_direct_signal_skips_the_bucket_scan():
     get_config().track_dependencies = True
-    get_config().aot_signal = True
     b = _fresh_board()
     mgr = b._cond_mgr
     with b._lock:
@@ -128,7 +125,6 @@ def test_mismatched_dirty_set_falls_back_to_relay():
     the subset guard: the exit degrades to a generic relay and still wakes
     the right waiter."""
     get_config().track_dependencies = True
-    get_config().aot_signal = True
     b = _fresh_board()
     mgr = b._cond_mgr
     with b._lock:
@@ -142,25 +138,10 @@ def test_mismatched_dirty_set_falls_back_to_relay():
         mgr._deregister(w)
 
 
-def test_aot_signal_config_off_uses_relay():
-    get_config().track_dependencies = True
-    get_config().aot_signal = False
-    b = _fresh_board()
-    mgr = b._cond_mgr
-    with b._lock:
-        w = _park(mgr, b._lock, Predicate(S.v0 != 0))
-        mgr.direct_signal(PLANS["peek"])
-        b.v0 = 1
-        assert mgr.direct_signal(PLANS["w0"]) is w
-        assert mgr.metrics.relay_skipped_aot == 0
-        mgr._deregister(w)
-
-
 def test_direct_signal_still_advances_generations():
     """Direct exits must keep ``var_gens`` moving: stamp memos and the
     obligation tracker depend on generations, not on which search ran."""
     get_config().track_dependencies = True
-    get_config().aot_signal = True
     b = _fresh_board()
     mgr = b._cond_mgr
     with b._lock:
@@ -204,26 +185,29 @@ def _oracle_true(waiter, monitor) -> bool:
         return True  # a raising predicate absorbs the signal (poison path)
 
 
-def _drive(ops, lane: str) -> list[frozenset]:
+def _drive(ops, lane: str, rng=None) -> list[frozenset]:
     """Apply one randomized schedule through one signaling lane; return the
     set of waiters woken after each step.
 
     Lanes: ``direct`` exits through ``direct_signal`` with the writing
     method's AOT plan (the bulk-write op deliberately presents a mismatched
     plan to exercise the fallback guard); ``tracked`` and ``exhaustive``
-    exit through the runtime relay with filtering on/off.  After every
-    drain the exhaustive oracle checks no live waiter holds a true
-    predicate.
+    exit through the runtime relay with filtering on/off; ``mixed`` flips
+    ``rng`` per exit between passing the plan and passing None, so the
+    pending state a planned exit leaves is consumed by a probing one and
+    vice versa.  After every drain the exhaustive oracle checks no live
+    waiter holds a true predicate.
     """
     cfg = get_config()
     cfg.track_dependencies = lane != "exhaustive"
-    cfg.aot_signal = lane == "direct"
     m = DirectBoard()
     mgr = m._cond_mgr
 
     def drain_step(plan):
         if lane == "direct":
             return mgr.direct_signal(plan)
+        if lane == "mixed":
+            return mgr.relay_signal(plan if rng.random() < 0.5 else None)
         return mgr.relay_signal()
 
     live: dict[int, Waiter] = {}
@@ -289,13 +273,15 @@ _op = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_op, min_size=1, max_size=30))
-def test_direct_signal_matches_relay_search(ops):
+@given(st.lists(_op, min_size=1, max_size=30), st.randoms(use_true_random=False))
+def test_direct_signal_matches_relay_search(ops, rng):
     """Direct AOT exits wake exactly the waiters the dependency-tracked
-    relay and the exhaustive scan wake, step for step."""
+    relay and the exhaustive scan wake, step for step — also when planned
+    and probing exits interleave in one schedule."""
     direct = _drive(ops, "direct")
     assert direct == _drive(ops, "tracked")
     assert direct == _drive(ops, "exhaustive")
+    assert direct == _drive(ops, "mixed", rng)
 
 
 def test_direct_lane_actually_skips_relays():
@@ -303,7 +289,6 @@ def test_direct_lane_actually_skips_relays():
     the skip path (not a permanent fallback)."""
     cfg = get_config()
     cfg.track_dependencies = True
-    cfg.aot_signal = True
     b = _fresh_board()
     mgr = b._cond_mgr
     with b._lock:
@@ -320,7 +305,6 @@ def test_direct_lane_actually_skips_relays():
 
 def test_threaded_direct_wakes_match_expected():
     get_config().track_dependencies = True
-    get_config().aot_signal = True
 
     @monitor_compile
     class Flags(Monitor):

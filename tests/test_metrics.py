@@ -3,6 +3,12 @@
 import threading
 import time
 
+from repro.core.expressions import S
+from repro.core.monitor import Monitor
+from repro.core.predicates import Predicate
+from repro.core.waiter import Waiter
+from repro.preprocess import monitor_compile
+from repro.runtime.config import get_config
 from repro.runtime.metrics import Metrics, PhaseTimer, global_metrics
 
 
@@ -69,3 +75,36 @@ class TestPhaseTimer:
 
     def test_global_metrics_exists(self):
         assert isinstance(global_metrics, Metrics)
+
+    def test_planned_exit_is_timed_on_the_skip_path(self):
+        """Table 2.1 must time the default wake path: with phase timing
+        on, a ``@monitor_compile`` method's exit still skips the tag probe
+        and its relay search lands in ``relay_time``."""
+        cfg = get_config()
+        prior = cfg.phase_timing
+        cfg.phase_timing = True
+        try:
+            flag = _Flag()
+            mgr = flag._cond_mgr
+            m = flag.metrics
+            with flag._lock:
+                w = Waiter(Predicate(S.up != 0), flag._lock)
+                mgr._register(w)
+                skipped, timed = m.relay_skipped_aot, m.relay_time
+                flag.raise_up()
+                assert w.signaled
+                mgr._deregister(w)
+            assert m.relay_skipped_aot == skipped + 1
+            assert m.relay_time > timed
+        finally:
+            cfg.phase_timing = prior
+
+
+@monitor_compile
+class _Flag(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.up = 0
+
+    def raise_up(self):
+        self.up = 1

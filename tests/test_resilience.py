@@ -740,22 +740,6 @@ class TestDirectSignalResilience:
         shelf.refill(1)
         assert shelf.take(timeout=1.0) == 0
 
-    def test_disabling_aot_signal_falls_back_to_relay(self):
-        cfg = get_config()
-        saved = cfg.aot_signal
-        cfg.aot_signal = False
-        try:
-            shelf = DirectShelf()
-            done = []
-            t = _spawn(lambda: done.append(shelf.take(timeout=5.0)))
-            time.sleep(0.05)
-            shelf.refill(1)
-            t.join(2.0)
-            assert done == [0]
-            assert shelf.metrics.relay_skipped_aot == 0
-        finally:
-            cfg.aot_signal = saved
-
 
 # ============================================================== cancel token
 class TestCancelToken:
