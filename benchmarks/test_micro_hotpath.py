@@ -32,6 +32,7 @@ from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
 from repro.core.waiter import Waiter
+from repro.preprocess import monitor_compile, waituntil
 from repro.runtime.config import get_config
 
 BENCH_FILE = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core_hotpath.json"
@@ -53,6 +54,11 @@ SEED_NS_PER_OP = {
 #: regression tolerance on their compiled-vs-interpreted speedup ratio
 GATED_LANES = ("wait_until_true_prebuilt", "relay_search_256")
 RATIO_TOLERANCE = 0.30
+
+#: a closed ``waituntil`` site builds its predicate once, at class-compile
+#: time, so its already-true wait may cost at most this multiple of the
+#: prebuilt lane (same process, same loop shape)
+COMPILED_SITE_MAX_RATIO = 1.5
 
 #: dependency-tracked relay record (docs/performance.md "Reading
 #: BENCH_relay_dirty.json"): sparse-write lanes over an untagged pool
@@ -112,6 +118,27 @@ def bench_wait_until_true_prebuilt() -> float:
 
     def run(n):
         m.wait_ready_many(pred, n)
+
+    return best_ns_per_op(run, 20000)
+
+
+@monitor_compile
+class CompiledProbe(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def wait_ready_many(self, n):
+        for _ in range(n):
+            waituntil(self.count >= 0)
+
+
+def bench_wait_until_true_compiled_site() -> float:
+    """The prebuilt lane's loop through a closed ``waituntil`` site."""
+    m = CompiledProbe()
+
+    def run(n):
+        m.wait_ready_many(n)
 
     return best_ns_per_op(run, 20000)
 
@@ -234,6 +261,7 @@ def run_dirty_suite() -> tuple[dict[str, float], float]:
 BENCHES = {
     "enter_exit": bench_enter_exit,
     "wait_until_true_prebuilt": bench_wait_until_true_prebuilt,
+    "wait_until_true_compiled_site": bench_wait_until_true_compiled_site,
     "wait_until_true_dsl": bench_wait_until_true_dsl,
     "relay_search_1": lambda: bench_relay_search(1),
     "relay_search_16": lambda: bench_relay_search(16),
@@ -306,6 +334,19 @@ def test_ratio_gate_vs_committed_baseline(results):
             f"{lane}: compiled/interpreted speedup {measured[lane]:.2f}x fell "
             f">30% below the committed {recorded[lane]:.2f}x"
         )
+
+
+def test_compiled_site_costs_what_prebuilt_costs(results):
+    """A closed ``waituntil`` site passes one hoisted predicate to every
+    call; rebuilding the DSL tree per call costs tens of times the
+    prebuilt lane (29x on a 2-CPU x86_64 host before hoisting)."""
+    compiled = results["fresh"]["compiled"]
+    ratio = (compiled["wait_until_true_compiled_site"]
+             / compiled["wait_until_true_prebuilt"])
+    assert ratio <= COMPILED_SITE_MAX_RATIO, (
+        f"closed waituntil site costs {ratio:.2f}x the prebuilt lane "
+        f"(limit {COMPILED_SITE_MAX_RATIO}x)"
+    )
 
 
 # -- dependency-tracked relay (BENCH_relay_dirty.json) ------------------------

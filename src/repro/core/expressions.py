@@ -29,6 +29,12 @@ Number = (int, float)
 #: the "reads nothing" read set (compare with ``None`` = "reads everything")
 _EMPTY_READS: frozenset = frozenset()
 
+#: the atom class :class:`Expr`'s comparison operators build.
+#: :mod:`repro.core.predicates` defines it and binds it here as it loads: it
+#: imports this module, so importing it back would be circular.  Importing
+#: ``repro.core`` loads both modules.
+Comparison: Any = None
+
 
 def union_reads(*sets: Optional[frozenset]) -> Optional[frozenset]:
     """Union read sets, propagating the conservative ``None`` (unknown)."""
@@ -97,35 +103,22 @@ class Expr:
         return BinOp("*", Const(-1), self)
 
     # -- comparison operators build boolean atoms ----------------------------
-    # (imports deferred to avoid a module cycle)
     def __eq__(self, other):  # type: ignore[override]
-        from repro.core.predicates import Comparison
-
         return Comparison(self, "==", _wrap(other))
 
     def __ne__(self, other):  # type: ignore[override]
-        from repro.core.predicates import Comparison
-
         return Comparison(self, "!=", _wrap(other))
 
     def __lt__(self, other):
-        from repro.core.predicates import Comparison
-
         return Comparison(self, "<", _wrap(other))
 
     def __le__(self, other):
-        from repro.core.predicates import Comparison
-
         return Comparison(self, "<=", _wrap(other))
 
     def __gt__(self, other):
-        from repro.core.predicates import Comparison
-
         return Comparison(self, ">", _wrap(other))
 
     def __ge__(self, other):
-        from repro.core.predicates import Comparison
-
         return Comparison(self, ">=", _wrap(other))
 
     __hash__ = None  # type: ignore[assignment]  # __eq__ builds atoms
@@ -167,12 +160,21 @@ class Const(Expr):
 
 
 class SharedVar(Expr):
-    """An attribute of the monitor object (a *shared variable*, Def. 1)."""
+    """An attribute of the monitor object (a *shared variable*, Def. 1).
+
+    Immutable: ``S.<name>`` hands every caller the same node.
+    """
 
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        self.name = name
+        object.__setattr__(self, "name", name)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("SharedVar nodes are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("SharedVar nodes are immutable")
 
     def evaluate(self, monitor: Any) -> Any:
         return getattr(monitor, self.name)
@@ -311,12 +313,19 @@ def linear_key(terms: dict[Any, float]) -> tuple:
 
 
 class _SharedNamespace:
-    """``S.count`` → ``SharedVar("count")`` sugar."""
+    """``S.count`` → ``SharedVar("count")`` sugar.
+
+    Each name is interned: the first ``S.count`` stores its node as an
+    instance attribute, so later reads are plain attribute hits that never
+    reach ``__getattr__`` or allocate.
+    """
 
     def __getattr__(self, name: str) -> SharedVar:
         if name.startswith("_"):
             raise AttributeError(name)
-        return SharedVar(name)
+        var = SharedVar(name)
+        # setdefault: two threads interning one name both get the first node
+        return self.__dict__.setdefault(name, var)
 
     def __call__(self, fn: Callable[[Any], Any], name: str | None = None,
                  reads: Optional[frozenset] = None) -> SharedExpr:

@@ -255,12 +255,7 @@ class Monitor(metaclass=MonitorMeta):
             try:
                 for hook in self._exit_hooks:
                     hook(self)
-                # unplanned exits keep the argument-free call every other
-                # relay site makes
-                if aot_plan is None:
-                    self._cond_mgr.relay_signal()
-                else:
-                    self._cond_mgr.relay_signal(aot_plan)
+                self._cond_mgr.relay_signal(aot_plan)
             finally:
                 self._lock.release()
             # fires outside the lock: a kill injected here cannot wedge the

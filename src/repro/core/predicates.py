@@ -18,9 +18,11 @@ Three atom kinds exist:
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.core import compiled as _compiled
+from repro.core import expressions as _expressions
 from repro.core.expressions import (
     _EMPTY_READS,
     Const,
@@ -35,8 +37,8 @@ from repro.runtime.errors import PredicateError
 #: formulas; real synchronization conditions are tiny.
 MAX_DNF_CONJUNCTIONS = 256
 
-#: sentinel for Predicate's lazily computed read set (None is meaningful)
-_READS_UNSET = object()
+#: sentinel for lazily computed slots whose value may be None
+_UNSET = object()
 
 _NEGATE = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 _EVAL = {
@@ -175,11 +177,13 @@ class FuncAtom(Atom):
 class Comparison(Atom):
     """``lhs op rhs`` over expression trees.
 
-    At construction the comparison is *normalized*: if ``lhs - rhs`` is
-    linear in shared terms, the atom is rewritten as
-    ``canonical_shared_expr op constant`` so equal-shaped conditions share a
-    canonical key.  Non-linear comparisons keep their structural form; they
-    are still evaluable but only taggable when one side is constant.
+    The comparison is *normalized* for the tagger: if ``lhs - rhs`` is
+    linear in shared terms, its shape is ``canonical_shared_expr op
+    constant`` so equal-shaped conditions share a canonical key.
+    Non-linear comparisons keep their structural form; they are still
+    evaluable but only taggable when one side is constant.  Normalization
+    runs on the first :attr:`tag_shape` read — when a waiter registers —
+    so a predicate that is already true when checked never pays for it.
     """
 
     __slots__ = ("lhs", "op", "rhs", "_shape", "_cmp")
@@ -191,12 +195,24 @@ class Comparison(Atom):
         self.op = op
         self.rhs = rhs
         self._cmp = _EVAL[op]
-        self._shape = self._normalize()
+        self._shape = _UNSET
 
     def _normalize(self):
-        """Return ``(expr_key, op, const)`` or None when untaggable."""
-        lin_l = self.lhs.linear()
-        lin_r = self.rhs.linear()
+        """Return ``(expr_key, op, const)`` or None when untaggable.
+
+        Never raises, and returns only shapes the tag index can hold: it
+        runs while a waiter registers, after the waiter joined the
+        condition manager's lists, where a failure would leave a ghost
+        waiter.  So a numeric constant too large for a float
+        (``S.x < 10**400``) makes the atom untaggable, as does a structural
+        fallback shape that is unhashable or orders by a constant that is
+        not a real number (threshold heaps scale their keys by a float).
+        """
+        try:
+            lin_l = self.lhs.linear()
+            lin_r = self.rhs.linear()
+        except OverflowError:
+            return None
         if lin_l is not None and lin_r is not None:
             terms = dict(lin_l[0])
             for k, v in lin_r[0].items():
@@ -216,11 +232,19 @@ class Comparison(Atom):
         # expressed as a single canonical term with coefficient 1 so the key
         # format matches the linear normalizer's.
         if isinstance(self.rhs, Const):
-            return (((self.lhs.key(), 1.0),), self.op, self.rhs.value)
-        if isinstance(self.lhs, Const):
+            shape = (((self.lhs.key(), 1.0),), self.op, self.rhs.value)
+        elif isinstance(self.lhs, Const):
             flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(self.op, self.op)
-            return (((self.rhs.key(), 1.0),), flipped, self.lhs.value)
-        return None
+            shape = (((self.rhs.key(), 1.0),), flipped, self.lhs.value)
+        else:
+            return None
+        if self.op not in ("==", "!=") and not isinstance(shape[2], Real):
+            return None
+        try:
+            hash(shape)
+        except TypeError:
+            return None
+        return shape
 
     def shared_subexpressions(self):
         """Yield every Expr node in this atom (for evaluator registration)."""
@@ -238,7 +262,10 @@ class Comparison(Atom):
     @property
     def tag_shape(self):
         """``(expr_key, op, const)`` for the tagger, or None."""
-        return self._shape
+        shape = self._shape
+        if shape is _UNSET:
+            shape = self._shape = self._normalize()
+        return shape
 
     def read_set(self):
         return union_reads(self.lhs.read_set(), self.rhs.read_set())
@@ -257,6 +284,9 @@ class Comparison(Atom):
 
     def __repr__(self):
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
+
+
+_expressions.Comparison = Comparison
 
 
 class And(BoolNode):
@@ -355,7 +385,7 @@ class Predicate:
         self.conjunctions: list[tuple[Atom, ...]] = self.root.dnf()
         self._evaluator: Callable[[Any], Any] | None = None
         self._uses = 0
-        self._read_set: Any = _READS_UNSET
+        self._read_set: Any = _UNSET
 
     def evaluate(self, monitor: Any) -> bool:
         return self.root.evaluate(monitor)
@@ -368,7 +398,7 @@ class Predicate:
         waiter.  A frozenset is exact: a monitor exit whose dirty set is
         disjoint from it cannot have flipped the predicate."""
         rs = self._read_set
-        if rs is _READS_UNSET:
+        if rs is _UNSET:
             rs = self.root.read_set()
             self._read_set = rs
         return rs

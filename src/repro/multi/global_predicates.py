@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
+from repro.core import compiled as _compiled
 from repro.core.monitor import Monitor
 from repro.core.predicates import BoolNode, Predicate
 from repro.runtime.config import config_snapshot
@@ -82,11 +83,17 @@ class LocalPredicate(GlobalAtom):
 
     def evaluate(self) -> bool:
         # global conditions are re-checked on every related monitor exit
-        # (Alg. 4), so route through the compiled closure like local waits do
+        # (Alg. 4), so a reused atom routes through the compiled closure
+        # like local waits do.  Its first evaluation is interpreted, the
+        # same tiering as Predicate.fast_eval: an atom built, checked true
+        # and dropped never pays for source synthesis.
         ev = self._eval
         if ev is None:
-            ev = self.predicate.evaluator()
-            self._eval = ev
+            pred = self.predicate
+            if not pred._uses and not _compiled._crosscheck:
+                pred._uses = 1
+                return pred.evaluate(self.monitor)
+            ev = self._eval = pred.evaluator()
         return ev(self.monitor)
 
     def monitors(self) -> frozenset[Monitor]:

@@ -24,7 +24,28 @@ to ``self.wait_until(<DSL form of expr>)`` where
   :class:`~repro.core.expressions.SharedExpr` so it can still anchor a tag;
 * local variables and parameters are left in place — they are frozen into
   the predicate as constants when ``wait_until`` builds it, which is
-  exactly the paper's closure operation.
+  exactly the paper's closure operation;
+* ``is`` / ``is not`` / ``in`` / ``not in`` cannot be overloaded, so a
+  self-dependent comparison using one is lifted whole into a
+  :class:`~repro.core.expressions.SharedExpr` carrying its ``self.X`` read
+  set and compared untagged (``!= False``): each waiter evaluates its own
+  closure.  A lifted expression whose lambda closes over a method local
+  (``x in self.items``) is named by that closure's identity as well as its
+  source text, so waiters with different locals never share a tag table.
+
+Each ``waituntil`` site's predicate shape is fixed when the class
+compiles, as in the paper's preprocessor; only the closure constants vary
+per call.  A *closed* site — its rewritten condition names nothing but the
+DSL helpers and lambda parameters: no parameter, local, module global or
+closure variable — therefore builds the same predicate on every call, so
+``monitor_compile`` builds that :class:`~repro.core.predicates.Predicate`
+once and every call (on every instance) passes the same object.  Sites
+that name anything else build per call and bind the values current at that
+call.  A closed site whose predicate fails to build at decoration
+(``waituntil(self.flag)``) keeps per-call construction, so the error still
+surfaces in the calling thread.  The compiled method keeps its module's
+live globals: it is built inside a factory whose parameters (the DSL
+helpers and the hoisted predicates) it reads as closure cells.
 
 The preprocessor also feeds the dependency-tracked relay (see
 ``docs/performance.md``): each lifted :class:`SharedExpr` is annotated
@@ -57,6 +78,8 @@ import inspect
 import textwrap
 from typing import Any, Callable, TypeVar
 
+from repro.core.expressions import S, SharedExpr
+from repro.core.predicates import Predicate
 from repro.runtime.errors import PredicateError
 
 T = TypeVar("T", bound=type)
@@ -156,15 +179,20 @@ class _PredicateRewriter(ast.NodeTransformer):
 
     def visit_Compare(self, node: ast.Compare) -> ast.AST:
         # split chains (a < b < c) into (a < b) & (b < c)
-        left = self.visit(node.left)
-        comparisons: list[ast.AST] = []
-        current_left = left
-        for op, comparator in zip(node.ops, node.comparators):
-            right = self.visit(comparator)
-            comparisons.append(
-                ast.Compare(left=current_left, ops=[op], comparators=[right])
-            )
-            current_left = right
+        operands = [node.left, *node.comparators]
+        # lift is/in links before visiting: a visit may rewrite an operand
+        # in place, and a lift needs its original source text
+        lifted = [
+            self._lift_compare(left, op, right)
+            for left, op, right in zip(operands, node.ops, operands[1:])
+        ]
+        visited = [self.visit(operand) for operand in operands]
+        comparisons: list[ast.AST] = [
+            lift if lift is not None
+            else ast.Compare(left=visited[i], ops=[op],
+                             comparators=[visited[i + 1]])
+            for i, (op, lift) in enumerate(zip(node.ops, lifted))
+        ]
         out = comparisons[0]
         for comparison in comparisons[1:]:
             out = ast.BinOp(left=out, op=ast.BitAnd(), right=comparison)
@@ -187,10 +215,28 @@ class _PredicateRewriter(ast.NodeTransformer):
     def visit_Subscript(self, node: ast.Subscript) -> ast.AST:
         return self._lift_if_self(node)
 
+    def _lift_compare(self, left: ast.expr, op: ast.cmpop,
+                      right: ast.expr) -> ast.AST | None:
+        """``self.item is None`` → ``__repro_shared(...) != False``.
+
+        Python applies ``is`` / ``in`` to DSL nodes as plain operators (a
+        SharedVar is never None, nor iterable), so a self-dependent link
+        using one is lifted whole and compared untagged.  Returns None for
+        other operators and for pure-local links, which stay closure
+        constants."""
+        if not isinstance(op, (ast.Is, ast.IsNot, ast.In, ast.NotIn)):
+            return None
+        link = ast.Compare(left=left, ops=[op], comparators=[right])
+        if not _mentions_self(link, self.self_name):
+            return None
+        return ast.Compare(left=self._lift_if_self(link), ops=[ast.NotEq()],
+                           comparators=[ast.Constant(value=False)])
+
     def _lift_if_self(self, node: ast.AST) -> ast.AST:
         """Wrap a self-dependent compound expression into a SharedExpr:
         ``len(self.items)`` → ``__repro_shared(lambda m: len(m.items), "...")``
-        (keyed by source text so equal expressions share tag tables)."""
+        (keyed by source text so equal expressions share tag tables; see
+        :func:`_lifted` for lambdas that close over method locals)."""
         if not _mentions_self(node, self.self_name):
             return node  # pure-local: closure constant, leave untouched
         source = ast.unparse(node)
@@ -347,7 +393,8 @@ class _MethodRewriter(ast.NodeTransformer):
 
     def __init__(self, self_name: str):
         self.self_name = self_name
-        self.rewrote = False
+        #: the rewritten ``self.wait_until(<condition>)`` calls
+        self.sites: list[ast.Call] = []
 
     def visit_Expr(self, node: ast.Expr) -> ast.AST:
         call = node.value
@@ -362,19 +409,68 @@ class _MethodRewriter(ast.NodeTransformer):
                 )
             predicate = _PredicateRewriter(self.self_name).visit(call.args[0])
             ast.fix_missing_locations(predicate)
-            self.rewrote = True
-            return ast.Expr(
-                value=ast.Call(
-                    func=ast.Attribute(
-                        value=ast.Name(id=self.self_name, ctx=ast.Load()),
-                        attr="wait_until",
-                        ctx=ast.Load(),
-                    ),
-                    args=[predicate],
-                    keywords=[],
-                )
+            site = ast.Call(
+                func=ast.Attribute(
+                    value=ast.Name(id=self.self_name, ctx=ast.Load()),
+                    attr="wait_until",
+                    ctx=ast.Load(),
+                ),
+                args=[predicate],
+                keywords=[],
             )
+            self.sites.append(site)
+            return ast.Expr(value=site)
         return node
+
+
+def _lifted(fn: Callable[[Any], Any], source: str,
+            reads: tuple | None) -> SharedExpr:
+    """``__repro_shared``: the SharedExpr of one lifted subexpression.
+
+    Its source text names it, so waiters on equal expressions share tag
+    tables.  A lambda that closes over a method local (``self.items[i]``,
+    ``x in self.items``) is a different function of the monitor state for
+    every value of that local, so its name also carries the closure's
+    identity: its waiters never share a tag table or a cached evaluator
+    through the source text."""
+    if fn.__closure__ is not None:
+        source = f"{source} @{id(fn):#x}"
+    return SharedExpr(fn, source, reads)
+
+
+#: what a rewritten condition reads besides lambda parameters when it is
+#: closed, and the bindings every compiled method receives
+_DSL_HELPERS = {"__repro_S": S, "__repro_shared": _lifted}
+
+
+def _is_closed(node: ast.AST, params: frozenset = frozenset()) -> bool:
+    """True when a rewritten condition names only the DSL helpers and
+    lambda parameters, so every call would build the same predicate."""
+    if isinstance(node, ast.Name):
+        return node.id in _DSL_HELPERS or node.id in params
+    if isinstance(node, ast.Lambda):
+        # defaults are evaluated outside the lambda; its body sees its own
+        # parameters
+        inner = params | {a.arg for a in ast.walk(node.args)
+                          if isinstance(a, ast.arg)}
+        return _is_closed(node.args, params) and _is_closed(node.body, inner)
+    return all(_is_closed(child, params) for child in ast.iter_child_nodes(node))
+
+
+def _build_once(condition: ast.expr, module_globals: dict,
+                filename: str) -> Predicate | None:
+    """The predicate of a closed ``waituntil`` site, built at class-compile
+    time, or None when the site must keep building per call."""
+    if not _is_closed(condition):
+        return None
+    expr = ast.fix_missing_locations(ast.Expression(body=condition))
+    try:
+        return Predicate(eval(  # noqa: S307 — our own rewritten AST
+            compile(expr, filename, "eval"), module_globals, dict(_DSL_HELPERS)))
+    except Exception:  # noqa: BLE001 — deferred, not swallowed
+        # e.g. ``waituntil(self.flag)``: built per call instead, the error
+        # surfaces in the calling thread as it would without hoisting
+        return None
 
 
 def _method_write_vars(fn: Callable) -> set[str]:
@@ -408,13 +504,12 @@ def _method_write_vars(fn: Callable) -> set[str]:
     return {name for name in written if not name.startswith("_")}
 
 
-def _compile_method(
-    fn: Callable, cls_globals: dict, allow_waituntil: bool = True
-) -> Callable | None:
+def _compile_method(fn: Callable, allow_waituntil: bool = True) -> Callable | None:
     """Rewrite one method; returns the new function or None if untouched.
 
     Two independent rewrites may apply: the ``waituntil`` → ``wait_until``
-    transform (public methods only) and the untracked-write instrumentation
+    transform (public methods only), which also builds each closed site's
+    predicate once, and the untracked-write instrumentation
     (``self._note_write`` insertion, so dependency-filtered relay sees
     in-place container mutations)."""
     try:
@@ -439,35 +534,42 @@ def _compile_method(
     if not func_def.args.args:
         return None
     self_name = func_def.args.args[0].arg
-    rewrote = False
+    sites: list[ast.Call] = []
     if allow_waituntil and WAITUNTIL in source:
         rewriter = _MethodRewriter(self_name)
         rewriter.visit(func_def)
-        rewrote = rewriter.rewrote
+        sites = rewriter.sites
     func_def.body, instrumented = _instrument_block(func_def.body, self_name)
-    if not rewrote and not instrumented:
+    if not sites and not instrumented:
         return None
     # closure variables (rare in methods) cannot be rebuilt by exec; detect
     if fn.__closure__:
-        if rewrote:
+        if sites:
             raise PredicateError(
                 f"{fn.__qualname__}: waituntil methods must not close over "
                 "enclosing-scope variables (pass them as parameters instead)"
             )
         return None  # keep closure-bearing methods intact; W007 covers them
     func_def.decorator_list = []     # decorators already applied to `fn`
+    filename = f"<monitor_compile {fn.__qualname__}>"
+    bindings = dict(_DSL_HELPERS)
+    for site in sites:
+        predicate = _build_once(site.args[0], fn.__globals__, filename)
+        if predicate is not None:
+            name = f"__repro_P{len(bindings) - len(_DSL_HELPERS)}"
+            bindings[name] = predicate
+            site.args[0] = ast.Name(id=name, ctx=ast.Load())
+    # Compile the method inside a factory taking the bindings: the method
+    # reads them as closure cells, and its globals stay fn's live module
+    # dict, so a module global it reads is looked up at call time.
+    factory = ast.parse(f"def __repro_bind({', '.join(bindings)}): pass").body[0]
+    factory.body = [func_def, ast.Return(value=ast.Name(id=func_def.name, ctx=ast.Load()))]
+    tree.body = [factory]
     ast.fix_missing_locations(tree)
     namespace: dict = {}
-    exec_globals = dict(cls_globals)
-    from repro.core.expressions import S, SharedExpr
-
-    exec_globals["__repro_S"] = S
-    exec_globals["__repro_shared"] = (
-        lambda f, name, reads=None: SharedExpr(f, name, reads)
-    )
-    code = compile(tree, filename=f"<monitor_compile {fn.__qualname__}>", mode="exec")
-    exec(code, exec_globals, namespace)  # noqa: S102 — compiling our own AST
-    new_fn = namespace[func_def.name]
+    code = compile(tree, filename=filename, mode="exec")
+    exec(code, fn.__globals__, namespace)  # noqa: S102 — compiling our own AST
+    new_fn = namespace["__repro_bind"](**bindings)
     functools.update_wrapper(new_fn, fn)
     return new_fn
 
@@ -493,8 +595,6 @@ def monitor_compile(cls: T) -> T:
 
     if not issubclass(cls, Monitor):
         raise PredicateError("@monitor_compile requires a Monitor subclass")
-    module = inspect.getmodule(cls)
-    cls_globals = vars(module) if module else {}
     #: shared variable → method names that write it (the static pass's
     #: candidate write sites, consumed by the runtime ObligationTracker
     #: when naming who *could* have discharged a starving wait)
@@ -513,7 +613,7 @@ def monitor_compile(cls: T) -> T:
         # private helpers run under the public caller's lock: they get the
         # write instrumentation but never the waituntil rewrite
         compiled = _compile_method(
-            raw, cls_globals, allow_waituntil=not name.startswith("_")
+            raw, allow_waituntil=not name.startswith("_")
         )
         if compiled is None:
             continue

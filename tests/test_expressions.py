@@ -24,6 +24,17 @@ class TestSharedVar:
         with pytest.raises(AttributeError):
             S._private
 
+    def test_namespace_interns_each_name(self):
+        assert S.x is S.x
+        assert S.x is not S.y
+
+    def test_shared_var_is_immutable(self):
+        with pytest.raises(AttributeError):
+            S.x.name = "y"
+        with pytest.raises(AttributeError):
+            del S.x.name
+        assert S.x.name == "x"
+
     def test_key_is_stable(self):
         assert S.count.key() == S.count.key() == ("var", "count")
 

@@ -33,6 +33,15 @@ class TestAtoms:
         assert local(c, S.value == 5).evaluate()
         assert not local(c, S.value > 9).evaluate()
 
+    def test_single_shot_atom_is_interpreted(self):
+        # built, checked once and dropped: no source synthesis
+        atom = local(Cell(5), S.value == 5)
+        assert atom.evaluate()
+        assert atom.predicate._evaluator is None
+        # reused: compiled, like a parked waiter's predicate
+        assert atom.evaluate()
+        assert atom.predicate._evaluator is not None
+
     def test_local_negation(self):
         c = Cell(5)
         atom = local(c, S.value > 9)

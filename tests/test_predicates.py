@@ -1,10 +1,13 @@
 """Unit + property tests for boolean predicates, DNF conversion, closure."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.expressions import S
+from repro.core import Monitor
+from repro.core.expressions import Const, S
 from repro.core.predicates import (
     And,
     Comparison,
@@ -216,3 +219,109 @@ def test_linear_normalization_preserves_comparisons(values, coeffs):
     atom = scale * S.a + k1 <= S.b + k2
     expected = scale * values["a"] + k1 <= values["b"] + k2
     assert atom.evaluate(m) == expected
+
+
+@st.composite
+def _linear_sides(draw):
+    expr = Const(draw(st.integers(-5, 5)))
+    for name in _vars:
+        coeff = draw(st.integers(-3, 3))
+        if coeff:
+            expr = expr + coeff * getattr(S, name)
+    return expr
+
+
+@settings(max_examples=150, deadline=None)
+@given(lhs=_linear_sides(),
+       op=st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+       rhs=_linear_sides())
+def test_lazy_tag_shape_matches_eager_normalization(lhs, op, rhs):
+    """Normalizing on the first tag_shape read gives what normalizing at
+    construction gave, and the result is computed once."""
+    atom = Comparison(lhs, op, rhs)
+    eager = Comparison(lhs, op, rhs)._normalize()
+    assert atom.tag_shape == eager
+    assert atom.tag_shape is atom.tag_shape
+
+
+class Counter(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def wait_for(self, condition):
+        self.wait_until(condition)
+
+    def set(self, value):
+        self.count = value
+
+
+def _park(counter, condition):
+    t = threading.Thread(target=counter.wait_for, args=(condition,), daemon=True)
+    t.start()
+    t.join(0.2)
+    assert t.is_alive(), "the wait must park"
+    return t
+
+
+class TestLazyNormalization:
+    def test_true_wait_never_normalizes(self, monkeypatch):
+        calls = []
+        original = Comparison._normalize
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Comparison, "_normalize", counting)
+        c = Counter()
+        c.set(1)
+        c.wait_for(S.count > 0)
+        assert calls == []
+        # a waiter that parks normalizes when it registers
+        t = _park(c, S.count > 5)
+        assert len(calls) == 1
+        c.set(6)
+        t.join(10)
+        assert not t.is_alive()
+
+
+class TestHugeConstants:
+    def test_huge_constant_is_untaggable(self):
+        assert (S.count < 10**400).tag_shape is None
+        assert ((S.count % 3) < 10**400).tag_shape is None
+
+    def test_true_wait_with_huge_constant_returns(self):
+        c = Counter()
+        c.wait_for(S.count < 10**400)
+
+    def test_parked_waiter_on_huge_constant_wakes(self):
+        c = Counter()
+        t = _park(c, S.count >= 10**400)
+        assert c.waiting_count() == 1
+        c.set(10**400)
+        t.join(10)
+        assert not t.is_alive()
+        assert c.waiting_count() == 0
+
+    def test_shapes_the_tag_index_cannot_hold_are_untaggable(self):
+        # threshold heaps scale keys by a float, and every key is hashed;
+        # equality on a hashable object stays tagged
+        assert (S.count < "m").tag_shape is None
+        assert (S.count == [1]).tag_shape is None
+        assert (S.count == "m").tag_shape is not None
+
+    @pytest.mark.parametrize("before, condition, after", [
+        ("z", S.count < "m", "a"),
+        ([0], S.count == [1], [1]),
+    ])
+    def test_parked_waiter_on_an_unindexable_shape_wakes(
+            self, before, condition, after):
+        c = Counter()
+        c.set(before)
+        t = _park(c, condition)
+        assert c.waiting_count() == 1
+        c.set(after)
+        t.join(10)
+        assert not t.is_alive()
+        assert c.waiting_count() == 0

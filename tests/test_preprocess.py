@@ -1,5 +1,6 @@
 """Tests for the preprocessor: natural waituntil syntax → DSL rewriting."""
 
+import sys
 import threading
 import time
 
@@ -285,3 +286,247 @@ class TestControlFlowPlacement:
         b.bump()
         t.join(10)
         assert not t.is_alive()
+
+
+# -- per-site predicates: closed sites are built once ------------------------
+
+#: read by HoistBoard.wait_global; rebound by a test through monkeypatch
+LIMIT = 1
+
+
+@monitor_compile
+class HoistBoard(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+        self.flag = 0
+
+    def bump(self, n=1):
+        self.count += n
+
+    def wait_closed(self):
+        waituntil(self.count >= 0 and self.flag == 0)
+
+    def wait_param(self, num):
+        waituntil(self.count >= num)
+
+    def wait_local(self):
+        num = self.flag + 1
+        waituntil(self.count >= num)
+
+    def wait_global(self):
+        waituntil(self.count >= LIMIT)
+
+    def wait_closure(self, num):
+        def helper():
+            waituntil(self.count >= num)
+        helper()
+
+    def wait_bare_flag(self):
+        waituntil(self.flag)
+
+
+def _record_conditions(monkeypatch, cls):
+    """Record the condition object every ``wait_until`` call receives."""
+    seen = []
+    original = cls.wait_until
+
+    def recording(self, condition, **kwargs):
+        seen.append(condition)
+        return original(self, condition, **kwargs)
+
+    monkeypatch.setattr(cls, "wait_until", recording)
+    return seen
+
+
+class TestHoistedSites:
+    def test_closed_site_passes_one_predicate_to_every_call(self, monkeypatch):
+        from repro.core.predicates import Predicate
+
+        seen = _record_conditions(monkeypatch, HoistBoard)
+        first, second = HoistBoard(), HoistBoard()
+        first.wait_closed()
+        first.wait_closed()
+        second.wait_closed()
+        assert len(seen) == 3
+        assert isinstance(seen[0], Predicate)
+        assert seen[0] is seen[1] is seen[2]
+
+    @pytest.mark.parametrize("method", ["wait_param", "wait_closure"])
+    def test_parameter_and_closure_sites_bind_per_call(self, monkeypatch, method):
+        seen = _record_conditions(monkeypatch, HoistBoard)
+        b = HoistBoard()
+        b.bump(3)
+        getattr(b, method)(1)
+        getattr(b, method)(3)
+        assert seen[0] is not seen[1]
+        assert [c.rhs.value for c in seen] == [1, 3]
+
+    def test_local_site_binds_per_call(self, monkeypatch):
+        seen = _record_conditions(monkeypatch, HoistBoard)
+        b = HoistBoard()
+        b.bump(3)
+        b.wait_local()
+        b.flag = 2
+        b.wait_local()
+        assert seen[0] is not seen[1]
+        assert [c.rhs.value for c in seen] == [1, 3]
+
+    def test_rebinding_a_module_global_changes_the_bound(self, monkeypatch):
+        b = HoistBoard()
+        b.bump()
+        b.wait_global()                      # LIMIT = 1: already true
+        monkeypatch.setattr(sys.modules[__name__], "LIMIT", 3)
+        t = _spawn(b.wait_global)
+        t.join(0.2)
+        assert t.is_alive(), "the rebound LIMIT = 3 must hold the wait"
+        b.bump(2)
+        t.join(10)
+        assert not t.is_alive()
+
+    def test_site_that_cannot_build_fails_at_call_time(self):
+        # the class still compiles; the error surfaces in the caller
+        b = HoistBoard()
+        with pytest.raises(PredicateError):
+            b.wait_bare_flag()
+
+    def test_hoisted_predicate_shared_under_contention(self):
+        """8 threads on 4 instances of one compiled class share the hoisted
+        put/take predicates; every item must arrive exactly once."""
+        items = 300
+        queues = [CompiledQueue(2) for _ in range(4)]
+        received = [[] for _ in queues]
+        threads = []
+        for q, out in zip(queues, received):
+            threads.append(threading.Thread(
+                target=lambda q=q: [q.put(i) for i in range(items)],
+                daemon=True))
+            threads.append(threading.Thread(
+                target=lambda q=q, out=out: [out.append(q.take())
+                                             for _ in range(items)],
+                daemon=True))
+        prior = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive(), "stress thread did not finish"
+        finally:
+            sys.setswitchinterval(prior)
+        for out in received:
+            assert out == list(range(items))
+        assert all(q.count == 0 and not q.items for q in queues)
+
+
+# -- is / is not / in / not in ------------------------------------------------
+
+@monitor_compile
+class MembershipBoard(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.item = None
+        self.items = []
+
+    def set_item(self, value):
+        self.item = value
+
+    def add(self, value):
+        self.items.append(value)
+
+    def remove(self, value):
+        self.items.remove(value)
+
+    def wait_item_none(self):
+        waituntil(self.item is None)
+        return self.item
+
+    def wait_item_set(self):
+        waituntil(self.item is not None)
+        return self.item
+
+    def wait_member(self, x):
+        waituntil(x in self.items)
+        return x
+
+    def wait_absent(self, x):
+        waituntil(x not in self.items)
+        return x
+
+    def wait_not_member(self, x):
+        waituntil(not (x in self.items))
+        return x
+
+
+def _lifted_names(board):
+    with board._lock:
+        return sorted(w.predicate.root.lhs.name for w in board._cond_mgr.waiters)
+
+
+class TestIdentityAndMembership:
+    def test_is_none_returns_when_none(self):
+        b = MembershipBoard()
+        t = _spawn(b.wait_item_none)
+        t.join(10)
+        assert not t.is_alive(), "self.item is None must hold at once"
+        b.set_item(1)
+        out = []
+        t = _spawn(lambda: out.append(b.wait_item_none()))
+        t.join(0.2)
+        assert t.is_alive()
+        b.set_item(None)
+        t.join(10)
+        assert not t.is_alive()
+        assert out == [None]
+
+    def test_is_not_none_waits_for_a_value(self):
+        b = MembershipBoard()
+        out = []
+        t = _spawn(lambda: out.append(b.wait_item_set()))
+        t.join(0.2)
+        assert t.is_alive(), "self.item is not None must not hold yet"
+        b.set_item(5)
+        t.join(10)
+        assert not t.is_alive()
+        assert out == [5]
+
+    def test_in_wakes_after_append(self):
+        b = MembershipBoard()
+        done = []
+        t1 = _spawn(lambda: done.append(b.wait_member(1)))
+        t2 = _spawn(lambda: done.append(b.wait_member(2)))
+        t1.join(0.2)
+        assert t1.is_alive() and t2.is_alive()
+        # each waiter's lifted expression closes over its own x: never one
+        # tag table through the shared source text
+        names = _lifted_names(b)
+        assert len(names) == 2 and len(set(names)) == 2
+        b.add(2)
+        t2.join(10)
+        assert not t2.is_alive()
+        assert t1.is_alive()
+        b.add(1)
+        t1.join(10)
+        assert not t1.is_alive()
+        assert done == [2, 1]
+
+    @pytest.mark.parametrize("method", ["wait_absent", "wait_not_member"])
+    def test_not_in_wakes_after_remove(self, method):
+        b = MembershipBoard()
+        b.add(1)
+        b.add(2)
+        done = []
+        t1 = _spawn(lambda: done.append(getattr(b, method)(1)))
+        t2 = _spawn(lambda: done.append(getattr(b, method)(2)))
+        t1.join(0.2)
+        assert t1.is_alive() and t2.is_alive()
+        assert len(set(_lifted_names(b))) == 2
+        b.remove(2)
+        t2.join(10)
+        assert not t2.is_alive()
+        assert t1.is_alive()
+        b.remove(1)
+        t1.join(10)
+        assert not t1.is_alive()
+        assert done == [2, 1]

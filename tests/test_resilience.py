@@ -144,9 +144,9 @@ class TestCoreTimeouts:
         calls = []
         orig = g._cond_mgr.relay_signal
 
-        def counting_relay():
+        def counting_relay(*args):
             calls.append(threading.get_ident())
-            return orig()
+            return orig(*args)
 
         monkeypatch.setattr(g._cond_mgr, "relay_signal", counting_relay)
         with pytest.raises(WaitTimeoutError):
