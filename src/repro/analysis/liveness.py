@@ -41,9 +41,9 @@ The three rules:
   the section exits cleanly having written nothing, and the obligation is
   silently dropped.
 
-The runtime twin of this pass is
-:class:`repro.resilience.obligations.ObligationTracker`, which watches the
-same obligations live via per-variable write generations.
+The runtime twin of this pass is the obligation check of
+:class:`repro.resilience.inspector.Inspector`, which watches the same
+obligations live via per-variable write generations.
 
 All three rules collect per module in ``check`` and emit in ``finalize``,
 once the whole project is registered — obligations are whole-program

@@ -27,8 +27,8 @@ The hot-path cost when disabled is a single module-attribute truth test in
 
 Liveness is handled elsewhere: the static signal-obligation pass lives in
 :mod:`repro.analysis.liveness` (W010–W012), and its runtime twin — a
-polling :class:`~repro.resilience.obligations.ObligationTracker` that
-flags waiters nobody ever writes for — sits in the resilience layer, not
+polling :class:`~repro.resilience.inspector.Inspector` that flags
+waiters nobody ever writes for — sits in the resilience layer, not
 here, because it observes rather than asserts.
 """
 

@@ -214,7 +214,7 @@ def source_key(predicate: Any) -> Optional[str]:
 
     The source string is exactly the key the closure cache is keyed by —
     stable across threads and processes for structurally equal predicates —
-    which makes it the right identifier for diagnostics (stall-watchdog
+    which makes it the right identifier for diagnostics (inspector
     reports, waiter dumps) that need to say *what* a thread waits on
     without holding any lock or evaluating anything.
     """

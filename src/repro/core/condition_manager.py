@@ -857,7 +857,8 @@ class ConditionManager:
         read is a plain attribute load (atomic on GIL and free-threaded
         builds alike) — no lock is taken,
         and a waiter racing out mid-snapshot is simply skipped.  Consumed
-        by :class:`repro.resilience.obligations.ObligationTracker`.
+        by :class:`repro.resilience.inspector.Inspector`, whose stall and
+        obligation checks both classify this one snapshot.
         """
         out = []
         for w in list(self.waiters):

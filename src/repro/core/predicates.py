@@ -444,8 +444,8 @@ class Predicate:
 
         Prefers the compiled-source cache key (identical for structurally
         equal predicates, across runs) and falls back to ``repr``.  Never
-        evaluates the predicate — safe to call from watchdog/obligation
-        threads observing a live monitor."""
+        evaluates the predicate — safe to call from the inspector thread
+        observing a live monitor."""
         from repro.core import compiled  # local: avoid import cycle at load
 
         key = compiled.source_key(self)

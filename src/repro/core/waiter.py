@@ -90,7 +90,7 @@ class Waiter:
         self.cv.notify()
 
     def describe(self) -> str:
-        """Lock-free description for diagnostics (watchdog, dump_waiters).
+        """Lock-free description for diagnostics (inspector, dump_waiters).
 
         Identifies the predicate by its compiled-source cache key when one
         exists — stable across runs for structurally equal predicates —

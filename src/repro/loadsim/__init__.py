@@ -19,11 +19,13 @@ Layers:
 * :mod:`repro.loadsim.services` — the pizza store, multicast channels,
   and bounded buffer wrapped as *services*: admission queue, per-request
   deadlines via ``wait_until(..., deadline=)``, explicit shedding;
-* :mod:`repro.loadsim.scenarios` — :class:`LoadSimulator` and the
-  scenario catalog (``run_steady_load`` … ``run_network_partition``);
-* :mod:`repro.loadsim.aio` — :class:`AsyncLoadSimulator`, the coroutine
-  frontend lane: thousands of logical clients multiplexed onto one event
-  loop via :mod:`repro.aio`, with a loop-responsiveness probe;
+* :mod:`repro.loadsim.scenarios` — the simulator core (op draws,
+  service and inspector lifecycle, the outcome ledger, the report), its
+  thread driver :class:`LoadSimulator`, and the scenario catalog
+  (``run_steady_load`` … ``run_network_partition``);
+* :mod:`repro.loadsim.aio` — :class:`AsyncLoadSimulator`, the same core
+  under an event-loop driver: thousands of logical clients multiplexed
+  onto one loop via :mod:`repro.aio`, with a loop-responsiveness probe;
 * :mod:`repro.loadsim.report` — :class:`LoadReport` / :class:`SLO` and
   ``BENCH_load_*.json`` serialization.
 

@@ -1,19 +1,20 @@
-"""The asyncio driver lane: coroutine-per-client open-loop load.
+"""The asyncio driver: coroutine-per-client open-loop load.
 
-:class:`AsyncLoadSimulator` is the coroutine twin of
-:class:`~repro.loadsim.scenarios.LoadSimulator` — same seeded arrival
-schedules, same latency-from-scheduled-arrival discipline, same
-accounting identity (``offered == completed + timed_out + failed_fast +
-errors + shed`` with ``in_flight == 0``) — but every *logical client* is
-a coroutine on one event loop instead of a pooled worker thread:
+:class:`AsyncLoadSimulator` is the event-loop driver of the shared
+:class:`~repro.loadsim.scenarios.SimulatorCore` — same seeded arrival
+schedules and op draws, same latency-from-scheduled-arrival discipline,
+same accounting identity (``offered == completed + timed_out +
+failed_fast + errors + shed`` with ``in_flight == 0``), same inspector
+diagnostics — but every *logical client* is a coroutine on one event
+loop, run on the calling thread, instead of a pooled worker thread.
+The driver keeps only what is loop-specific:
 
 * the **dispatcher coroutine** walks the pre-drawn schedule; each arrival
   either spawns a request task or is **shed** when the in-flight cap
   (``admission_capacity``) is reached — the awaitable analogue of the
-  thread lane's bounded admission queue;
+  thread driver's bounded admission queue;
 * each **request task** runs ``service.handle_async(op, deadline,
-  cancel)`` with the same absolute deadline (``scheduled_arrival +
-  deadline``) and a cancel-token backstop armed with ``loop.call_later``
+  cancel)`` with a cancel-token backstop armed with ``loop.call_later``
   (no timer threads — at thousands of clients that matters);
 * a **loop-responsiveness probe** ticks throughout the run and records
   how late each tick fired.  The asyncio frontend's cardinal rule is that
@@ -21,33 +22,29 @@ a coroutine on one event loop instead of a pooled worker thread:
   empirical check — a blocked loop shows up as drift, and the report
   carries ``extra["loop_probe"]`` so the benchmark can assert on it.
 
-:func:`run_steady_load_async` / :func:`run_burst_load_async` mirror the
-threaded scenario entry points, including the strict SLO / recovery
-assertions, so the two frontends are comparable head-to-head on
-identical arrival schedules and op sequences.
+:func:`run_steady_load_async` / :func:`run_burst_load_async` run the
+threaded scenario lanes' strict SLO / recovery checks on this driver, so
+the two frontends are comparable head-to-head on identical arrival
+schedules and op sequences.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 import time
 from typing import Any, Optional
 
 from repro.loadsim.arrivals import ArrivalProcess, BurstArrivals, \
     PoissonArrivals
-from repro.loadsim.recorder import LatencyRecorder, WindowedSeries
 from repro.loadsim.report import LoadReport, SLO
+from repro.loadsim.scenarios import (
+    DEFAULT_SEED,
+    SimulatorCore,
+    _burst_lane,
+    _steady_lane,
+)
 from repro.loadsim.services import Service, make_service
 from repro.resilience import CancelToken
-from repro.resilience.obligations import ObligationTracker
-from repro.resilience.watchdog import StallWatchdog
-from repro.runtime.errors import (
-    BrokenMonitorError,
-    TaskError,
-    WaitCancelledError,
-    WaitTimeoutError,
-)
 
 __all__ = [
     "AsyncLoadSimulator",
@@ -55,15 +52,13 @@ __all__ = [
     "run_steady_load_async",
 ]
 
-DEFAULT_SEED = 11
-
 #: loop-responsiveness probe period (s); drift beyond a few ms means the
 #: loop thread blocked somewhere it never should have
 PROBE_INTERVAL_S = 0.02
 
 
-class AsyncLoadSimulator:
-    """Open-loop driver: one service, one schedule, coroutine clients."""
+class AsyncLoadSimulator(SimulatorCore):
+    """Event-loop driver: one service, one schedule, coroutine clients."""
 
     def __init__(
         self,
@@ -79,129 +74,27 @@ class AsyncLoadSimulator:
         cancel_grace: float = 1.0,
         drain_timeout: Optional[float] = None,
     ):
-        if deadline <= 0:
-            raise ValueError("deadline must be > 0")
-        if admission_capacity < 1:
-            raise ValueError("admission_capacity must be >= 1")
         if not service.supports_async:
             raise ValueError(
                 f"service {service.name!r} has no handle_async lane")
-        self.service = service
-        self.arrivals = arrivals
-        self.scenario = scenario
-        self.deadline = deadline
-        self.admission_capacity = admission_capacity
-        self.window_s = window_s
-        self.op_seed = arrivals.seed + 1 if op_seed is None else op_seed
-        self.diagnose = diagnose
-        self.cancel_grace = cancel_grace
-        self.drain_timeout = (
-            deadline + cancel_grace + 2.0 if drain_timeout is None
-            else drain_timeout
-        )
+        super().__init__(
+            service, arrivals, scenario=scenario, deadline=deadline,
+            admission_capacity=admission_capacity, window_s=window_s,
+            op_seed=op_seed, diagnose=diagnose, cancel_grace=cancel_grace,
+            drain_timeout=drain_timeout)
 
-    # ------------------------------------------------------------------- run
-    def run(self, params: Optional[dict[str, Any]] = None) -> LoadReport:
-        """Start the service, drive the schedule on a fresh loop, report.
+    def _params(self) -> dict[str, Any]:
+        return {"frontend": "asyncio", **super()._params()}
 
-        Blocking entry point (symmetric with ``LoadSimulator.run``): the
-        service starts and stops on the calling thread; only the request
-        traffic itself runs on the event loop.
-        """
-        service = self.service
-        schedule = self.arrivals.schedule()
-        op_rng = random.Random(self.op_seed)
-        ops = [service.make_op(op_rng) for _ in schedule]
+    def _drive(self, schedule, ops, ledger):
+        # the service starts and stops on the calling thread; only the
+        # request traffic itself runs on the event loop
+        return {"loop_probe": asyncio.run(self._serve(schedule, ops, ledger))}
 
-        owns_service = not service.started
-        if owns_service:
-            service.start()
-
-        watchdog = tracker = None
-        if self.diagnose:
-            monitors = service.monitors()
-            watchdog = StallWatchdog(
-                monitors,
-                quiet_period=max(1.0, 2.0 * self.deadline),
-                on_stall=lambda report: None,
-            )
-            tracker = ObligationTracker(
-                monitors, poll_interval=0.2, on_report=lambda report: None)
-            watchdog.start()
-            tracker.start()
-
-        try:
-            result = asyncio.run(self._drive(schedule, ops))
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-                tracker.stop()
-            if owns_service:
-                service.stop()
-
-        (counts, recorders, windows, elapsed, in_flight,
-         backstop_cancels, error_samples, probe) = result
-
-        diagnostics: list[str] = []
-        extra: dict[str, Any] = {"loop_probe": probe}
-        if watchdog is not None:
-            diagnostics += [r.describe() for r in watchdog.reports]
-            diagnostics += [r.describe() for r in tracker.reports]
-        diagnostics += error_samples
-        if backstop_cancels:
-            extra["backstop_cancels"] = backstop_cancels
-
-        base_params = {
-            "frontend": "asyncio",
-            "arrivals": self.arrivals.name,
-            "duration_s": self.arrivals.duration,
-            "deadline_s": self.deadline,
-            "admission_capacity": self.admission_capacity,
-            "op_seed": self.op_seed,
-        }
-        base_params.update(params or {})
-        return LoadReport(
-            service=service.name,
-            scenario=self.scenario,
-            seed=self.arrivals.seed,
-            params=base_params,
-            counts=counts,
-            latency=recorders,
-            windows=windows,
-            elapsed=elapsed,
-            in_flight=in_flight,
-            diagnostics=diagnostics,
-            extra=extra,
-        )
-
-    # ------------------------------------------------------------ loop body
-    async def _drive(self, schedule, ops):
+    async def _serve(self, schedule, ops, ledger) -> dict[str, float]:
         service = self.service
         loop = asyncio.get_running_loop()
-
-        counts: dict[str, dict[str, int]] = {}
-        recorders: dict[str, LatencyRecorder] = {}
-        windows = WindowedSeries(self.window_s)
-        admitted = 0
-        resolved = [0]
-        backstop_cancels = [0]
-        error_samples: list[str] = []
         tasks: set[asyncio.Task] = set()
-
-        # everything below runs on the single loop thread — no locks needed
-        def bump(group: str, outcome: str) -> None:
-            cell = counts.get(group)
-            if cell is None:
-                cell = counts[group] = {
-                    "completed": 0, "timed_out": 0, "failed_fast": 0,
-                    "shed": 0, "errors": 0,
-                }
-                recorders[group] = LatencyRecorder()
-            cell[outcome] += 1
-            if outcome != "shed":
-                resolved[0] += 1
-
-        start = time.monotonic()
         probe_drifts: list[float] = []
         probe_stop = asyncio.Event()
 
@@ -218,39 +111,21 @@ class AsyncLoadSimulator:
 
         async def one_request(offset: float, op: Any) -> None:
             group = service.group(op)
-            deadline = start + offset + self.deadline
+            deadline = ledger.start + offset + self.deadline
             token = CancelToken()
             backstop = loop.call_later(
                 max(0.0, deadline - time.monotonic()) + self.cancel_grace,
                 token.cancel)
+            failure = None
             try:
                 await service.handle_async(op, deadline, token)
-                outcome = "completed"
-            except WaitTimeoutError:
-                outcome = "timed_out"
-            except WaitCancelledError:
-                outcome = "timed_out"
-                backstop_cancels[0] += 1
-            except (BrokenMonitorError, TaskError) as exc:
-                outcome = "failed_fast"
-                if len(error_samples) < 5:
-                    error_samples.append(
-                        f"failed_fast: {type(exc).__name__}: {exc}")
             except Exception as exc:  # noqa: BLE001 - full accounting
-                outcome = "errors"
-                if len(error_samples) < 5:
-                    error_samples.append(
-                        f"error: {type(exc).__name__}: {exc}")
+                failure = exc
             finally:
                 backstop.cancel()
-            latency = time.monotonic() - (start + offset)
-            bump(group, outcome)
-            if outcome == "completed":
-                recorders[group].record(latency)
-                windows.record(offset, outcome, latency)
-            else:
-                windows.record(offset, outcome)
+            ledger.settle(group, offset, failure)
 
+        ledger.start = start = time.monotonic()
         probe_task = asyncio.ensure_future(probe())
         try:
             for offset, op in zip(schedule, ops):
@@ -258,10 +133,9 @@ class AsyncLoadSimulator:
                 if delay > 0:
                     await asyncio.sleep(delay)
                 if len(tasks) >= self.admission_capacity:
-                    bump(service.group(op), "shed")
-                    windows.record(offset, "shed")
+                    ledger.shed(service.group(op), offset)
                     continue
-                admitted += 1
+                ledger.admit()
                 task = asyncio.ensure_future(one_request(offset, op))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
@@ -274,11 +148,8 @@ class AsyncLoadSimulator:
             for task in tasks:  # lost requests: counted, not awaited
                 task.cancel()
 
-        elapsed = time.monotonic() - start
-        in_flight = admitted - resolved[0]
-        probe_summary = _summarize_probe(probe_drifts)
-        return (counts, recorders, windows, elapsed, in_flight,
-                backstop_cancels[0], error_samples, probe_summary)
+        ledger.elapsed = time.monotonic() - start
+        return _summarize_probe(probe_drifts)
 
 
 def _summarize_probe(drifts: list[float]) -> dict[str, float]:
@@ -310,25 +181,14 @@ def run_steady_load_async(
     service_kwargs: Optional[dict[str, Any]] = None,
 ) -> LoadReport:
     """Poisson arrivals on the coroutine frontend — same SLO as threaded."""
-    svc = make_service(service, seed=seed, **(service_kwargs or {}))
     sim = AsyncLoadSimulator(
-        svc,
+        make_service(service, seed=seed, **(service_kwargs or {})),
         PoissonArrivals(rate, duration, seed),
         scenario="steady_async",
         deadline=deadline,
         admission_capacity=admission_capacity,
     )
-    report = sim.run(params={"rate": rate})
-    if strict:
-        report.assert_accounted()
-        report.enforce(slo or SLO(
-            p95_ms=0.8 * deadline * 1e3,
-            p99_ms=1.5 * deadline * 1e3,
-            max_timeout_frac=0.05,
-            max_shed_frac=0.0,
-            max_failed_frac=0.0,
-        ))
-    return report
+    return _steady_lane(sim, slo, strict)
 
 
 def run_burst_load_async(
@@ -347,29 +207,12 @@ def run_burst_load_async(
     service_kwargs: Optional[dict[str, Any]] = None,
 ) -> LoadReport:
     """On/off overload on the coroutine frontend; recovery asserted."""
-    from repro.loadsim.scenarios import _assert_recovered
-
-    svc = make_service(service, seed=seed, **(service_kwargs or {}))
-    arrivals = BurstArrivals(
-        base_rate, burst_rate, duration, seed,
-        period=period, burst_fraction=burst_fraction)
     sim = AsyncLoadSimulator(
-        svc,
-        arrivals,
+        make_service(service, seed=seed, **(service_kwargs or {})),
+        BurstArrivals(base_rate, burst_rate, duration, seed,
+                      period=period, burst_fraction=burst_fraction),
         scenario="burst_async",
         deadline=deadline,
         admission_capacity=admission_capacity,
     )
-    report = sim.run(params={
-        "base_rate": base_rate, "burst_rate": burst_rate,
-        "period": period, "burst_fraction": burst_fraction,
-    })
-    if strict:
-        report.assert_accounted()
-        report.enforce(slo or SLO(max_failed_frac=0.05))
-        last_burst_end = (
-            int((duration - 1e-9) / period) * period + burst_fraction * period)
-        after = min(last_burst_end + deadline, duration - sim.window_s)
-        _assert_recovered(report, after=after, p95_ms=deadline * 1e3,
-                          max_bad_frac=0.25)
-    return report
+    return _burst_lane(sim, slo, strict)

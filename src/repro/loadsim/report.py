@@ -3,7 +3,7 @@
 :class:`LoadReport` is the single artifact a scenario run produces:
 per-group outcome counts, per-group latency histograms, the windowed
 degradation curve, and whatever extra context the scenario attached
-(chaos statistics, supervisor restarts, watchdog/obligation reports).
+(chaos statistics, supervisor restarts, inspector reports).
 
 Two checks live here:
 
@@ -12,8 +12,8 @@ Two checks live here:
   timed_out + failed_fast + errors``, ``in_flight == 0``).  A nonzero
   ``in_flight`` means a future or wait was *lost* — exactly the hang
   class the paper's Rules 1–3 and this repo's supervision lanes exist to
-  prevent — so the failure message carries the stall-watchdog and
-  obligation-tracker diagnostics.
+  prevent — so the failure message carries the inspector's stall and
+  obligation diagnostics.
 * :meth:`LoadReport.enforce` — the latency/shedding SLO gate used by the
   scenarios and the CI ``load-smoke`` lane.
 """

@@ -1,29 +1,36 @@
-"""The load simulator and the chaos scenario catalog.
+"""The load simulator core, its thread driver, and the scenario catalog.
 
-:class:`LoadSimulator` drives one service with one open-loop arrival
-schedule.  The loop is deliberately simple and fully accounted:
+Both open-loop drivers — :class:`LoadSimulator` (a worker-thread pool)
+and :class:`~repro.loadsim.aio.AsyncLoadSimulator` (coroutine clients on
+one event loop) — are thin subclasses of one :class:`SimulatorCore`.
+The core owns everything that is not the loop itself:
 
-* an **arrival thread** (the caller) offers requests at their pre-drawn
-  scheduled times; a bounded admission queue accepts or **sheds** them
-  (``put_nowait`` — shedding is an explicit, counted decision, never an
-  implicit drop);
-* a fixed **worker pool** executes admitted requests against the service
-  with an absolute deadline of ``scheduled_arrival + deadline`` riding on
-  ``wait_until(..., deadline=)`` / future ``get(timeout=...)``, plus a
-  :meth:`CancelToken.cancel_after` backstop a grace period later — so
-  even a request whose deadline plumbing is broken cannot block forever;
-* **latency is measured from the scheduled arrival**, not from dequeue —
-  the open-loop discipline that avoids coordinated omission: a slow
-  system makes queued requests *slower*, it does not quietly slow the
-  offered load.
+* drawing each request's op from the op seed, one per scheduled arrival;
+* starting and stopping an owned service, and one
+  :class:`~repro.resilience.inspector.Inspector` when ``diagnose`` is
+  set, on every exit path — its stall and obligation reports ride along
+  in the report's diagnostics, so an SLO failure explains *which
+  monitor* wedged and on what predicate;
+* the outcome ledger.  Every admitted request ends in exactly one
+  terminal state — ``completed`` / ``timed_out`` / ``failed_fast`` /
+  ``errors`` — mapped from what its handler raised, and the report's
+  accounting check fails the run if any request is lost;
+* building the :class:`~repro.loadsim.report.LoadReport`.
 
-Every admitted request ends in exactly one terminal state —
-``completed`` / ``timed_out`` / ``failed_fast`` / ``errors`` — and the
-report's accounting check fails the run if any request is lost.  While
-the run executes, a :class:`StallWatchdog` and :class:`ObligationTracker`
-watch the service's monitors; their reports ride along in the report's
-diagnostics so an SLO failure explains *which monitor* wedged and on
-what predicate.
+**Latency is measured from the scheduled arrival**, not from dequeue —
+the open-loop discipline that avoids coordinated omission: a slow system
+makes queued requests *slower*, it does not quietly slow the offered
+load.  Each request carries an absolute deadline of ``scheduled_arrival
++ deadline`` riding on ``wait_until(..., deadline=)`` / future
+``get(timeout=...)``, plus a cancel backstop a grace period later — so
+even a request whose deadline plumbing is broken cannot block forever.
+
+The thread driver keeps only its loop: an **arrival thread** (the
+caller) offers requests at their pre-drawn scheduled times; a bounded
+admission queue accepts or **sheds** them (``put_nowait`` — shedding is
+an explicit, counted decision, never an implicit drop); a fixed **worker
+pool** executes admitted requests, each under a
+:meth:`CancelToken.cancel_after` backstop.
 
 Scenarios (also the CI ``load-smoke`` catalog):
 
@@ -37,11 +44,15 @@ Scenarios (also the CI ``load-smoke`` catalog):
 * :func:`run_network_partition` — freezes a monitor shard's lock;
   asserts the healthy shards keep their SLO and the frozen shard drains
   (as timeouts) once healed.
+
+The steady and burst checks are shared with the asyncio entry points in
+:mod:`repro.loadsim.aio`, which differ only in the driver they build.
 """
 
 from __future__ import annotations
 
 import queue as queue_mod
+import random
 import threading
 import time
 from typing import Any, Callable, Optional, Sequence
@@ -52,12 +63,11 @@ from repro.loadsim.arrivals import (
     DiurnalArrivals,
     PoissonArrivals,
 )
-from repro.loadsim.recorder import LatencyRecorder, WindowedSeries
+from repro.loadsim.recorder import OUTCOMES, LatencyRecorder, WindowedSeries
 from repro.loadsim.report import LoadReport, SLO, SLOViolation
 from repro.loadsim.services import Service, make_service
 from repro.resilience import CancelToken, chaos
-from repro.resilience.obligations import ObligationTracker
-from repro.resilience.watchdog import StallWatchdog
+from repro.resilience.inspector import Inspector
 from repro.runtime.errors import (
     BrokenMonitorError,
     TaskError,
@@ -67,6 +77,7 @@ from repro.runtime.errors import (
 
 __all__ = [
     "LoadSimulator",
+    "SimulatorCore",
     "run_burst_load",
     "run_mixed_workload",
     "run_network_partition",
@@ -77,8 +88,180 @@ __all__ = [
 DEFAULT_SEED = 11
 
 
-class LoadSimulator:
-    """Open-loop driver: one service, one arrival schedule, full accounting."""
+class _Ledger:
+    """One run's outcome accounting, settled into by every worker thread
+    or request task under one lock."""
+
+    def __init__(self, window_s: float):
+        self._lock = threading.Lock()
+        self.counts: dict[str, dict[str, int]] = {}
+        self.recorders: dict[str, LatencyRecorder] = {}
+        self.windows = WindowedSeries(window_s)
+        self.admitted = 0
+        self.resolved = 0
+        self.backstop_cancels = 0
+        self.error_samples: list[str] = []
+        #: the driver's clock: scheduled offsets are relative to ``start``
+        self.start = 0.0
+        self.elapsed = 0.0
+
+    def _add_group(self, group: str) -> dict[str, int]:
+        self.recorders[group] = LatencyRecorder()
+        cell = self.counts[group] = dict.fromkeys(OUTCOMES, 0)
+        return cell
+
+    def admit(self) -> None:
+        with self._lock:
+            self.admitted += 1
+
+    def shed(self, group: str, offset: float) -> None:
+        with self._lock:
+            cell = self.counts.get(group) or self._add_group(group)
+            cell["shed"] += 1
+            self.windows.record(offset, "shed")
+
+    def settle(self, group: str, offset: float,
+               failure: Optional[Exception] = None) -> None:
+        """Record an admitted request's terminal state from what its
+        handler raised (``None``: it completed)."""
+        latency = time.monotonic() - (self.start + offset)
+        label = None  # error-sample prefix
+        if failure is None:
+            outcome = "completed"
+        elif isinstance(failure, (WaitTimeoutError, WaitCancelledError)):
+            outcome = "timed_out"
+        elif isinstance(failure, (BrokenMonitorError, TaskError)):
+            outcome = label = "failed_fast"
+        else:
+            outcome, label = "errors", "error"
+        with self._lock:
+            cell = self.counts.get(group) or self._add_group(group)
+            cell[outcome] += 1
+            self.resolved += 1
+            if outcome == "completed":
+                self.recorders[group].record(latency)
+                self.windows.record(offset, outcome, latency)
+            else:
+                self.windows.record(offset, outcome)
+                if isinstance(failure, WaitCancelledError):
+                    # the backstop fired: the deadline plumbing failed but
+                    # the request still resolved (counted separately)
+                    self.backstop_cancels += 1
+                if label is not None and len(self.error_samples) < 5:
+                    self.error_samples.append(
+                        f"{label}: {type(failure).__name__}: {failure}")
+
+
+class SimulatorCore:
+    """Open-loop load: one service, one arrival schedule, full accounting.
+
+    A driver subclass implements :meth:`_drive`, the loop that offers the
+    drawn ops at their scheduled offsets and settles each one into the
+    ledger; everything else about a run lives here.
+    """
+
+    def __init__(
+        self,
+        service: Service,
+        arrivals: ArrivalProcess,
+        *,
+        scenario: str,
+        deadline: float,
+        admission_capacity: int,
+        window_s: float,
+        op_seed: Optional[int],
+        diagnose: bool,
+        cancel_grace: float,
+        drain_timeout: Optional[float],
+    ):
+        if deadline <= 0:
+            raise ValueError("deadline must be > 0")
+        if admission_capacity < 1:
+            raise ValueError("admission_capacity must be >= 1")
+        self.service = service
+        self.arrivals = arrivals
+        self.scenario = scenario
+        self.deadline = deadline
+        self.admission_capacity = admission_capacity
+        self.window_s = window_s
+        self.op_seed = arrivals.seed + 1 if op_seed is None else op_seed
+        self.diagnose = diagnose
+        self.cancel_grace = cancel_grace
+        # worst case a worker holds one request: its deadline + the cancel
+        # backstop; anything beyond that is a lost wait the report flags
+        self.drain_timeout = (
+            deadline + cancel_grace + 2.0 if drain_timeout is None
+            else drain_timeout
+        )
+
+    def _drive(self, schedule: Sequence[float], ops: list,
+               ledger: _Ledger) -> dict[str, Any]:
+        """Offer ``ops`` at their ``schedule`` offsets from ``ledger.start``
+        and settle each admitted one; set ``ledger.elapsed``; return the
+        driver's report extras."""
+        raise NotImplementedError
+
+    def _params(self) -> dict[str, Any]:
+        return {
+            "arrivals": self.arrivals.name,
+            "duration_s": self.arrivals.duration,
+            "deadline_s": self.deadline,
+            "admission_capacity": self.admission_capacity,
+            "op_seed": self.op_seed,
+        }
+
+    def run(self, params: Optional[dict[str, Any]] = None) -> LoadReport:
+        """Drive the whole schedule and report; ``params`` extend the
+        report's.  Blocks on the calling thread until the run drains."""
+        service = self.service
+        schedule = self.arrivals.schedule()
+        op_rng = random.Random(self.op_seed)
+        ops = [service.make_op(op_rng) for _ in schedule]
+        ledger = _Ledger(self.window_s)
+        inspector = None
+        owns_service = not service.started
+        if owns_service:
+            service.start()
+        try:
+            if self.diagnose:
+                inspector = Inspector(
+                    service.monitors(),
+                    quiet_period=max(1.0, 2.0 * self.deadline),
+                    poll_interval=0.2,
+                    on_report=lambda report: None,  # collect, don't print
+                )
+                inspector.start()
+            extra = self._drive(schedule, ops, ledger)
+        finally:
+            if inspector is not None:
+                inspector.stop()
+            if owns_service:
+                service.stop()
+
+        diagnostics: list[str] = []
+        if inspector is not None:
+            diagnostics += [r.describe() for r in inspector.reports]
+        diagnostics += ledger.error_samples
+        if ledger.backstop_cancels:
+            extra["backstop_cancels"] = ledger.backstop_cancels
+        return LoadReport(
+            service=service.name,
+            scenario=self.scenario,
+            seed=self.arrivals.seed,
+            params={**self._params(), **(params or {})},
+            counts=ledger.counts,
+            latency=ledger.recorders,
+            windows=ledger.windows,
+            elapsed=ledger.elapsed,
+            in_flight=ledger.admitted - ledger.resolved,
+            diagnostics=diagnostics,
+            extra=extra,
+        )
+
+
+class LoadSimulator(SimulatorCore):
+    """Thread driver: an arrival thread, a bounded admission queue, and a
+    worker pool."""
 
     def __init__(
         self,
@@ -99,129 +282,53 @@ class LoadSimulator:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if deadline <= 0:
-            raise ValueError("deadline must be > 0")
-        self.service = service
-        self.arrivals = arrivals
-        self.scenario = scenario
-        self.deadline = deadline
+        super().__init__(
+            service, arrivals, scenario=scenario, deadline=deadline,
+            admission_capacity=admission_capacity, window_s=window_s,
+            op_seed=op_seed, diagnose=diagnose, cancel_grace=cancel_grace,
+            drain_timeout=drain_timeout)
         self.workers = workers
-        self.admission_capacity = admission_capacity
-        self.window_s = window_s
-        self.op_seed = arrivals.seed + 1 if op_seed is None else op_seed
         self.supervise = supervise
-        self.diagnose = diagnose
         self.events = sorted(events, key=lambda e: e[0])
-        self.cancel_grace = cancel_grace
-        # worst case a worker holds one request: its deadline + the cancel
-        # backstop; anything beyond that is a lost wait the report flags
-        self.drain_timeout = (
-            deadline + cancel_grace + 2.0 if drain_timeout is None
-            else drain_timeout
-        )
 
-    # ------------------------------------------------------------------- run
-    def run(self, params: Optional[dict[str, Any]] = None) -> LoadReport:
-        import random
+    def _params(self) -> dict[str, Any]:
+        return {**super()._params(), "workers": self.workers}
 
+    def _drive(self, schedule, ops, ledger):
         service = self.service
-        schedule = self.arrivals.schedule()
-        op_rng = random.Random(self.op_seed)
-        ops = [service.make_op(op_rng) for _ in schedule]
-
-        owns_service = not service.started
-        if owns_service:
-            service.start()
         if self.supervise and not service.supervisors:
             service.attach_supervisors(seed=self.arrivals.seed)
-
-        watchdog = tracker = None
-        if self.diagnose:
-            monitors = service.monitors()
-            watchdog = StallWatchdog(
-                monitors,
-                quiet_period=max(1.0, 2.0 * self.deadline),
-                on_stall=lambda report: None,  # collect, don't print
-            )
-            tracker = ObligationTracker(
-                monitors, poll_interval=0.2, on_report=lambda report: None)
-            watchdog.start()
-            tracker.start()
-
         admission: queue_mod.Queue = queue_mod.Queue(self.admission_capacity)
         arrivals_done = threading.Event()
-        counts_lock = threading.Lock()
-        counts: dict[str, dict[str, int]] = {}
-        recorders: dict[str, LatencyRecorder] = {}
-        windows = WindowedSeries(self.window_s)
-        admitted = [0]
-        resolved = [0]
-        backstop_cancels = [0]
-        error_samples: list[str] = []
         event_errors: list[BaseException] = []
-
-        def bump(group: str, outcome: str) -> None:
-            with counts_lock:
-                cell = counts.get(group)
-                if cell is None:
-                    cell = counts[group] = {
-                        "completed": 0, "timed_out": 0, "failed_fast": 0,
-                        "shed": 0, "errors": 0,
-                    }
-                    recorders[group] = LatencyRecorder()
-                cell[outcome] += 1
-                if outcome != "shed":
-                    resolved[0] += 1
-
-        start_holder = [0.0]
 
         def worker() -> None:
             while True:
                 try:
                     offset, op = admission.get(timeout=0.05)
                 except queue_mod.Empty:
-                    if arrivals_done.is_set():
+                    # the event is set after the last put, so once it is
+                    # seen an empty queue stays empty
+                    if arrivals_done.is_set() and admission.empty():
                         return
                     continue
                 group = service.group(op)
-                deadline = start_holder[0] + offset + self.deadline
+                deadline = ledger.start + offset + self.deadline
                 token = CancelToken()
                 timer = token.cancel_after(
                     max(0.0, deadline - time.monotonic()) + self.cancel_grace)
+                failure = None
                 try:
                     service.handle(op, deadline, token)
-                    outcome = "completed"
-                except WaitTimeoutError:
-                    outcome = "timed_out"
-                except WaitCancelledError:
-                    # the backstop fired: the deadline plumbing failed but
-                    # the request still resolved (counted separately below)
-                    outcome = "timed_out"
-                    with counts_lock:
-                        backstop_cancels[0] += 1
-                except (BrokenMonitorError, TaskError) as exc:
-                    outcome = "failed_fast"
-                    if len(error_samples) < 5:
-                        error_samples.append(
-                            f"failed_fast: {type(exc).__name__}: {exc}")
                 except Exception as exc:  # noqa: BLE001 - full accounting
-                    outcome = "errors"
-                    if len(error_samples) < 5:
-                        error_samples.append(
-                            f"error: {type(exc).__name__}: {exc}")
+                    failure = exc
                 finally:
                     timer.cancel()
-                latency = time.monotonic() - (start_holder[0] + offset)
-                bump(group, outcome)
-                if outcome == "completed":
-                    recorders[group].record(latency)
-                    windows.record(offset, outcome, latency)
-                else:
-                    windows.record(offset, outcome)
+                ledger.settle(group, offset, failure)
 
         def timeline() -> None:
             for offset, fn in self.events:
-                delay = start_holder[0] + offset - time.monotonic()
+                delay = ledger.start + offset - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
                 try:
@@ -235,8 +342,7 @@ class LoadSimulator:
                              daemon=True)
             for i in range(self.workers)
         ]
-        run_start = time.monotonic()
-        start_holder[0] = run_start
+        ledger.start = run_start = time.monotonic()
         for t in threads:
             t.start()
         event_thread = None
@@ -252,10 +358,9 @@ class LoadSimulator:
                     time.sleep(delay)
                 try:
                     admission.put_nowait((offset, op))
-                    admitted[0] += 1
+                    ledger.admit()
                 except queue_mod.Full:
-                    bump(service.group(op), "shed")
-                    windows.record(offset, "shed")
+                    ledger.shed(service.group(op), offset)
         finally:
             arrivals_done.set()
 
@@ -264,18 +369,13 @@ class LoadSimulator:
             t.join(max(0.0, deadline_join - time.monotonic()))
         if event_thread is not None:
             event_thread.join(max(0.0, deadline_join - time.monotonic()))
-        elapsed = time.monotonic() - run_start
+        ledger.elapsed = time.monotonic() - run_start
+        if event_errors:
+            raise RuntimeError(
+                f"scenario event failed: {event_errors[0]!r}"
+            ) from event_errors[0]
 
-        diagnostics: list[str] = []
         extra: dict[str, Any] = {}
-        if watchdog is not None:
-            watchdog.stop()
-            tracker.stop()
-            diagnostics += [r.describe() for r in watchdog.reports]
-            diagnostics += [r.describe() for r in tracker.reports]
-        diagnostics += error_samples
-        if backstop_cancels[0]:
-            extra["backstop_cancels"] = backstop_cancels[0]
         if service.supervisors:
             extra["supervision"] = [
                 {
@@ -286,37 +386,7 @@ class LoadSimulator:
                 }
                 for s in service.supervisors
             ]
-
-        if owns_service:
-            service.stop()
-        if event_errors:
-            raise RuntimeError(
-                f"scenario event failed: {event_errors[0]!r}"
-            ) from event_errors[0]
-
-        in_flight = admitted[0] - resolved[0]
-        base_params = {
-            "arrivals": self.arrivals.name,
-            "duration_s": self.arrivals.duration,
-            "deadline_s": self.deadline,
-            "workers": self.workers,
-            "admission_capacity": self.admission_capacity,
-            "op_seed": self.op_seed,
-        }
-        base_params.update(params or {})
-        return LoadReport(
-            service=service.name,
-            scenario=self.scenario,
-            seed=self.arrivals.seed,
-            params=base_params,
-            counts=counts,
-            latency=recorders,
-            windows=windows,
-            elapsed=elapsed,
-            in_flight=in_flight,
-            diagnostics=diagnostics,
-            extra=extra,
-        )
+        return extra
 
 
 # --------------------------------------------------------------------------
@@ -361,6 +431,54 @@ def _assert_recovered(report: LoadReport, *, after: float, p95_ms: float,
         raise SLOViolation(violations, report.diagnostics)
 
 
+def _steady_lane(sim: SimulatorCore, slo: Optional[SLO],
+                strict: bool) -> LoadReport:
+    """Run a Poisson lane; strict runs must account for every request and
+    meet ``slo`` (default: p95 within 0.8 and p99 within 1.5 deadlines,
+    at most 5% timeouts, nothing shed or failed)."""
+    report = sim.run(params={"rate": sim.arrivals.rate})
+    if strict:
+        report.assert_accounted()
+        report.enforce(slo or SLO(
+            p95_ms=0.8 * sim.deadline * 1e3,
+            p99_ms=1.5 * sim.deadline * 1e3,
+            max_timeout_frac=0.05,
+            max_shed_frac=0.0,
+            max_failed_frac=0.0,
+        ))
+    return report
+
+
+def _burst_lane(sim: SimulatorCore, slo: Optional[SLO],
+               strict: bool) -> LoadReport:
+    """Run an on/off overload lane (``sim.arrivals`` is a
+    :class:`BurstArrivals`).
+
+    Shedding and timeouts *during* bursts are the expected, graceful
+    behaviour; what strict runs assert is full accounting, ``slo``
+    (default: at most 5% failed) plus recovery — the tail windows after
+    the last burst must be back under the deadline.
+    """
+    arrivals, deadline = sim.arrivals, sim.deadline
+    period, burst_fraction = arrivals.period, arrivals.burst_fraction
+    report = sim.run(params={
+        "base_rate": arrivals.base_rate, "burst_rate": arrivals.burst_rate,
+        "period": period, "burst_fraction": burst_fraction,
+    })
+    if strict:
+        report.assert_accounted()
+        report.enforce(slo or SLO(max_failed_frac=0.05))
+        # the last burst ends at the final whole period + the on-phase;
+        # everything after must have settled back under the deadline
+        duration = arrivals.duration
+        last_burst_end = (
+            int((duration - 1e-9) / period) * period + burst_fraction * period)
+        after = min(last_burst_end + deadline, duration - sim.window_s)
+        _assert_recovered(report, after=after, p95_ms=deadline * 1e3,
+                          max_bad_frac=0.25)
+    return report
+
+
 def run_steady_load(
     service: str = "buffer",
     *,
@@ -375,26 +493,15 @@ def run_steady_load(
     service_kwargs: Optional[dict[str, Any]] = None,
 ) -> LoadReport:
     """Poisson arrivals within capacity — the baseline SLO lane."""
-    svc = make_service(service, seed=seed, **(service_kwargs or {}))
     sim = LoadSimulator(
-        svc,
+        make_service(service, seed=seed, **(service_kwargs or {})),
         PoissonArrivals(rate, duration, seed),
         scenario="steady",
         deadline=deadline,
         workers=workers,
         admission_capacity=admission_capacity,
     )
-    report = sim.run(params={"rate": rate})
-    if strict:
-        report.assert_accounted()
-        report.enforce(slo or SLO(
-            p95_ms=0.8 * deadline * 1e3,
-            p99_ms=1.5 * deadline * 1e3,
-            max_timeout_frac=0.05,
-            max_shed_frac=0.0,
-            max_failed_frac=0.0,
-        ))
-    return report
+    return _steady_lane(sim, slo, strict)
 
 
 def run_burst_load(
@@ -413,39 +520,17 @@ def run_burst_load(
     strict: bool = True,
     service_kwargs: Optional[dict[str, Any]] = None,
 ) -> LoadReport:
-    """On/off overload: bursts exceed capacity, the backlog absorbs them.
-
-    Shedding and timeouts *during* bursts are the expected, graceful
-    behaviour; what is asserted is full accounting plus recovery — the
-    tail windows after the last burst must be back under the SLO.
-    """
-    svc = make_service(service, seed=seed, **(service_kwargs or {}))
-    arrivals = BurstArrivals(
-        base_rate, burst_rate, duration, seed,
-        period=period, burst_fraction=burst_fraction)
+    """On/off overload: bursts exceed capacity, the backlog absorbs them."""
     sim = LoadSimulator(
-        svc,
-        arrivals,
+        make_service(service, seed=seed, **(service_kwargs or {})),
+        BurstArrivals(base_rate, burst_rate, duration, seed,
+                      period=period, burst_fraction=burst_fraction),
         scenario="burst",
         deadline=deadline,
         workers=workers,
         admission_capacity=admission_capacity,
     )
-    report = sim.run(params={
-        "base_rate": base_rate, "burst_rate": burst_rate,
-        "period": period, "burst_fraction": burst_fraction,
-    })
-    if strict:
-        report.assert_accounted()
-        report.enforce(slo or SLO(max_failed_frac=0.05))
-        # the last burst ends at the final whole period + the on-phase;
-        # everything after must have settled back under the deadline
-        last_burst_end = (
-            int((duration - 1e-9) / period) * period + burst_fraction * period)
-        after = min(last_burst_end + deadline, duration - sim.window_s)
-        _assert_recovered(report, after=after, p95_ms=deadline * 1e3,
-                          max_bad_frac=0.25)
-    return report
+    return _burst_lane(sim, slo, strict)
 
 
 def run_mixed_workload(

@@ -13,8 +13,8 @@ store, multicast channels) to the shape the load simulator drives:
   :mod:`repro.loadsim.aio` — same ops, same failure taxonomy, requests
   multiplexed onto one event loop through
   :class:`~repro.aio.AsyncMonitorClient`;
-* ``monitors()`` exposes the monitor objects for the stall watchdog,
-  obligation tracker, and partition freezing;
+* ``monitors()`` exposes the monitor objects for the inspector's stall
+  and obligation checks, and for partition freezing;
 * ``attach_supervisors(seed)`` arms jittered
   :class:`~repro.resilience.supervision.ServerSupervisor`\\ s on every
   ActiveMonitor server the service owns (the worker-failure scenario's

@@ -60,8 +60,8 @@ flags those.
 
 As a by-product, compilation stashes a write-site summary on the class —
 ``cls._repro_write_sites`` maps each shared variable to the methods that
-write it — which the runtime obligation checker
-(:class:`repro.resilience.obligations.ObligationTracker`) uses to name
+write it — which the runtime obligation check
+(:class:`repro.resilience.inspector.Inspector`) uses to name
 the candidate sections that *could* discharge a starving wait.
 
 Limitations (documented, mirroring the original's): the transform needs the
@@ -596,7 +596,7 @@ def monitor_compile(cls: T) -> T:
     if not issubclass(cls, Monitor):
         raise PredicateError("@monitor_compile requires a Monitor subclass")
     #: shared variable → method names that write it (the static pass's
-    #: candidate write sites, consumed by the runtime ObligationTracker
+    #: candidate write sites, consumed by the runtime Inspector
     #: when naming who *could* have discharged a starving wait)
     write_sites: dict[str, list[str]] = {}
     #: raw (unwrapped) functions, for the AOT signal-placement analysis

@@ -8,11 +8,11 @@ that happy path:
   abandoning monitor waits and future joins cooperatively;
 * :mod:`repro.resilience.supervision` — restart dead server threads with
   bounded backoff after failing their futures fast;
-* :mod:`repro.resilience.watchdog` — opt-in stall detector producing
-  structured reports of parked waiters and queue backlogs;
-* :mod:`repro.resilience.obligations` — opt-in signal-obligation checker
-  flagging waiters that outlive many section exits with zero writes to
-  any variable they read (runtime twin of monlint W010);
+* :mod:`repro.resilience.inspector` — one opt-in polling daemon that
+  reports stalled monitors (parked waiters or queue backlogs, no
+  progress) and unmet signal obligations (waiters that outlive many
+  section exits with zero writes to any variable they read — the runtime
+  twin of monlint W010) in one structured report;
 * :mod:`repro.resilience.chaos` — seeded fault injection (delays, forced
   context switches, thread kills) at named sites across the stack.
 
@@ -32,11 +32,10 @@ from typing import TYPE_CHECKING
 __all__ = [
     "CancelTimer",
     "CancelToken",
-    "ObligationReport",
-    "ObligationTracker",
+    "Inspector",
+    "InspectorReport",
+    "MonitorStall",
     "ServerSupervisor",
-    "StallReport",
-    "StallWatchdog",
     "ThreadKilledFault",
     "WaiterObligation",
     "chaos",
@@ -48,11 +47,10 @@ _EXPORTS = {
     "CancelToken": ("repro.resilience.cancellation", "CancelToken"),
     "ServerSupervisor": ("repro.resilience.supervision", "ServerSupervisor"),
     "supervise": ("repro.resilience.supervision", "supervise"),
-    "StallWatchdog": ("repro.resilience.watchdog", "StallWatchdog"),
-    "StallReport": ("repro.resilience.watchdog", "StallReport"),
-    "ObligationTracker": ("repro.resilience.obligations", "ObligationTracker"),
-    "ObligationReport": ("repro.resilience.obligations", "ObligationReport"),
-    "WaiterObligation": ("repro.resilience.obligations", "WaiterObligation"),
+    "Inspector": ("repro.resilience.inspector", "Inspector"),
+    "InspectorReport": ("repro.resilience.inspector", "InspectorReport"),
+    "MonitorStall": ("repro.resilience.inspector", "MonitorStall"),
+    "WaiterObligation": ("repro.resilience.inspector", "WaiterObligation"),
     "ThreadKilledFault": ("repro.resilience.chaos", "ThreadKilledFault"),
     "chaos": ("repro.resilience.chaos", None),
 }
@@ -61,13 +59,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.resilience import chaos
     from repro.resilience.cancellation import CancelTimer, CancelToken
     from repro.resilience.chaos import ThreadKilledFault
-    from repro.resilience.obligations import (
-        ObligationReport,
-        ObligationTracker,
+    from repro.resilience.inspector import (
+        Inspector,
+        InspectorReport,
+        MonitorStall,
         WaiterObligation,
     )
     from repro.resilience.supervision import ServerSupervisor, supervise
-    from repro.resilience.watchdog import StallReport, StallWatchdog
 
 
 def __getattr__(name: str):

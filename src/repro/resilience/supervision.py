@@ -41,7 +41,7 @@ class ServerSupervisor:
     failed the in-flight futures), so backoff sleeping costs no extra
     thread.  All decisions are serialized under one lock, making the
     poll-based :meth:`check` safe to call concurrently (e.g. from a
-    :class:`~repro.resilience.watchdog.StallWatchdog` callback).
+    :class:`~repro.resilience.inspector.Inspector` callback).
     """
 
     def __init__(

@@ -20,7 +20,7 @@ from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
 from repro.core.waiter import Waiter
-from repro.resilience.watchdog import MonitorStall
+from repro.resilience.inspector import MonitorStall
 from repro.runtime.config import get_config
 from repro.runtime.errors import WaitTimeoutError
 

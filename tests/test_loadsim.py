@@ -8,7 +8,10 @@ traffic), and the HDR-style recorder's percentiles are monotone
 (p50 <= p95 <= p99 <= p99.9) with bounded relative error.
 """
 
+import asyncio
 import math
+import queue
+import sys
 import threading
 import time
 
@@ -16,14 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import Monitor, S
 from repro.loadsim import (
     SLO,
+    ArrivalProcess,
+    AsyncLoadSimulator,
     BurstArrivals,
     Bulkhead,
     DiurnalArrivals,
     LatencyRecorder,
     LoadReport,
+    LoadSimulator,
     PoissonArrivals,
+    Service,
     SLOViolation,
     WindowedSeries,
     make_service,
@@ -34,7 +42,12 @@ from repro.loadsim import (
     run_worker_failure,
 )
 from repro.loadsim.recorder import _GROWTH
-from repro.runtime.errors import WaitTimeoutError
+from repro.preprocess import monitor_compile
+from repro.runtime.errors import (
+    BrokenMonitorError,
+    TaskError,
+    WaitTimeoutError,
+)
 
 
 # ============================================================ arrivals
@@ -308,3 +321,264 @@ class TestScenarios:
         assert set(reports) == {"buffer", "pizza", "multicast"}
         for r in reports.values():
             assert r.in_flight == 0
+
+
+# ============================================================ drivers
+class FixedArrivals(ArrivalProcess):
+    """A hand-written schedule of arrival offsets."""
+
+    name = "fixed"
+
+    def __init__(self, offsets):
+        super().__init__(max(offsets) + 0.01, seed=0)
+        self.offsets = tuple(offsets)
+
+    def schedule(self):
+        return self.offsets
+
+
+#: how a scripted request fails (ops not listed here complete or block)
+FAILURES = {
+    "timeout": lambda: WaitTimeoutError("deadline passed"),
+    "broken": lambda: BrokenMonitorError("poisoned"),
+    "task": lambda: TaskError("task raised"),
+    "boom": lambda: ValueError("boom"),
+}
+
+
+class ScriptedService(Service):
+    """Replays a fixed op script; each op names how its request ends."""
+
+    name = "scripted"
+    supports_async = True
+
+    def __init__(self, script, block_s=0.2):
+        super().__init__()
+        self._ops = iter(script)
+        self.block_s = block_s
+
+    def make_op(self, rng):
+        return next(self._ops)
+
+    def handle(self, op, deadline, cancel=None):
+        if op == "hang":  # ignores its deadline: only the backstop ends it
+            woke = threading.Event()
+            cancel.add_callback(woke.set)
+            woke.wait(5.0)
+            cancel.raise_if_cancelled("hang")
+        elif op == "block":
+            time.sleep(self.block_s)
+        elif op in FAILURES:
+            raise FAILURES[op]()
+
+    async def handle_async(self, op, deadline, cancel=None):
+        if op == "hang":
+            loop = asyncio.get_running_loop()
+            woke = asyncio.Event()
+            cancel.add_callback(lambda: loop.call_soon_threadsafe(woke.set))
+            await asyncio.wait_for(woke.wait(), 5.0)
+            cancel.raise_if_cancelled("hang")
+        elif op == "block":
+            await asyncio.sleep(self.block_s)
+        elif op in FAILURES:
+            raise FAILURES[op]()
+
+
+def make_sim(driver, service, offsets, **kwargs):
+    if driver == "threads":
+        kwargs.setdefault("workers", 1)
+        return LoadSimulator(service, FixedArrivals(offsets), **kwargs)
+    return AsyncLoadSimulator(service, FixedArrivals(offsets), **kwargs)
+
+
+def scripted(driver, script, spacing=0.002, **kwargs):
+    """Run ``script`` (one op per arrival, ``spacing`` s apart)."""
+    offsets = [i * spacing for i in range(len(script))]
+    sim = make_sim(driver, ScriptedService(script), offsets,
+                   diagnose=False, **kwargs)
+    return sim.run()
+
+
+@pytest.mark.parametrize("driver", ["threads", "asyncio"])
+class TestDrivers:
+    """Both drivers over one stub service: the core's accounting."""
+
+    def test_accounting_identity_and_outcome_mapping(self, driver):
+        script = ["ok", "timeout", "broken", "task", "boom", "ok"]
+        report = scripted(driver, script)
+        report.assert_accounted()
+        assert report.offered == report.admitted == len(script)
+        assert report.counts["all"] == {
+            "completed": 2, "timed_out": 1, "failed_fast": 2,
+            "shed": 0, "errors": 1,
+        }
+        assert report.group_recorder().count == 2
+        assert sorted(report.diagnostics) == [
+            "error: ValueError: boom",
+            "failed_fast: BrokenMonitorError: poisoned",
+            "failed_fast: TaskError: task raised",
+        ]
+        assert "backstop_cancels" not in report.extra
+
+    def test_sheds_at_the_admission_bound(self, driver):
+        sim = make_sim(driver, ScriptedService(["block"] * 8),
+                       [i * 0.01 for i in range(8)],
+                       admission_capacity=2, diagnose=False)
+        report = sim.run()
+        report.assert_accounted()
+        # the thread driver's worker holds one request beyond the queue
+        bound = 2 + getattr(sim, "workers", 0)
+        assert 1 <= report.admitted <= bound
+        assert report.total("shed") == 8 - report.admitted
+        assert report.total("completed") == report.admitted
+
+    def test_backstop_reclaims_a_request_that_ignores_its_deadline(
+            self, driver):
+        report = scripted(driver, ["hang", "ok"], deadline=0.05,
+                          cancel_grace=0.05)
+        report.assert_accounted()
+        assert report.total("timed_out") == 1
+        assert report.total("completed") == 1
+        assert report.extra["backstop_cancels"] == 1
+
+    def test_keeps_at_most_five_error_samples(self, driver):
+        report = scripted(driver, ["boom"] * 8)
+        report.assert_accounted()
+        assert report.total("errors") == 8
+        assert report.diagnostics == ["error: ValueError: boom"] * 5
+
+    def test_rejects_zero_admission_capacity(self, driver):
+        with pytest.raises(ValueError):
+            make_sim(driver, ScriptedService([]), [0.0],
+                     admission_capacity=0)
+
+
+def test_ledger_survives_contended_workers():
+    """Eight workers settle 400 requests under a tiny switch interval: a
+    lost ledger update would break the accounting identity."""
+    script = ["ok", "boom", "timeout", "ok"] * 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = scripted("threads", script, spacing=0.0, workers=8,
+                          admission_capacity=len(script))
+    finally:
+        sys.setswitchinterval(interval)
+    report.assert_accounted()
+    assert report.admitted == len(script)
+    assert report.counts["all"] == {
+        "completed": 200, "timed_out": 100, "failed_fast": 0,
+        "shed": 0, "errors": 100,
+    }
+    assert report.group_recorder().count == 200
+    assert len(report.diagnostics) == 5
+
+
+class _EmptyOnceQueue(queue.Queue):
+    """Reports ``Empty`` on its first get, only after the request is
+    queued and the arrival thread has moved on."""
+
+    faked = False
+
+    def get(self, block=True, timeout=None):
+        if not self.faked:
+            self.faked = True
+            deadline = time.monotonic() + 5.0
+            while self.empty() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)  # the arrival thread sets arrivals_done
+            raise queue.Empty
+        return super().get(block, timeout)
+
+
+def test_thread_driver_never_strands_the_last_admitted_request(monkeypatch):
+    """A worker whose get() came up empty just as the final request was
+    queued and arrivals ended must still serve that request."""
+    monkeypatch.setattr(queue, "Queue", _EmptyOnceQueue)
+    report = scripted("threads", ["ok"])
+    assert report.offered == report.admitted == 1
+    assert report.in_flight == 0
+    assert report.total("completed") == 1
+
+
+@monitor_compile
+class Latch(Monitor):
+    """``opened`` is only written by open(); hit() is busy-work."""
+
+    def __init__(self):
+        super().__init__()
+        self.opened = False
+        self.hits = 0
+
+    def hit(self):
+        self.hits += 1
+
+    def open(self):
+        self.opened = True
+
+    def wait_open(self):
+        self.wait_until(S.opened == True)  # noqa: E712 — DSL comparison
+
+
+def _daemons() -> set:
+    """Live resilience daemons, except the process-wide cancel scheduler."""
+    return {t for t in threading.enumerate()
+            if t.name.startswith("repro-")
+            and t.name != "repro-cancel-scheduler"}
+
+
+class LatchService(Service):
+    """Every request hits the latch; nothing opens it."""
+
+    name = "latch"
+    supports_async = True
+
+    def __init__(self):
+        super().__init__()
+        self.latch = Latch()
+        self.daemons: set = set()  # daemon threads seen mid-run
+
+    def make_op(self, rng):
+        return "hit"
+
+    def monitors(self):
+        return [self.latch]
+
+    def _hit(self):
+        self.latch.hit()
+        self.daemons |= _daemons()
+
+    def handle(self, op, deadline, cancel=None):
+        self._hit()
+
+    async def handle_async(self, op, deadline, cancel=None):
+        self._hit()
+
+
+@pytest.mark.parametrize("driver", ["threads", "asyncio"])
+def test_inspector_obligation_reaches_the_report(driver):
+    svc = LatchService()
+    parked = threading.Thread(target=svc.latch.wait_open, daemon=True)
+    parked.start()
+    deadline = time.monotonic() + 5.0
+    while svc.latch.waiting_count() == 0:
+        assert time.monotonic() < deadline, "waiter never parked"
+        time.sleep(0.005)
+    before = _daemons()
+    try:
+        # 250 section exits over 0.75 s: the inspector polls every 0.2 s,
+        # baselines the waiter, and each later poll sees ~67 more exits
+        # than the budget of 50 needs
+        report = make_sim(driver, svc, [i * 0.003 for i in range(250)]).run()
+    finally:
+        svc.latch.open()
+        parked.join(5.0)
+    assert not parked.is_alive()
+    report.assert_accounted()
+    found = [d for d in report.diagnostics if "OBLIGATION:" in d]
+    assert found, report.diagnostics
+    assert "'opened': never written; candidate writers: Latch.open()" \
+        in found[0]
+    ran = svc.daemons - before
+    assert [t.name for t in ran] == ["repro-inspector"]
+    assert not any(t.is_alive() for t in ran)

@@ -1,4 +1,4 @@
-"""Tests for the runtime signal-obligation checker (ObligationTracker).
+"""Tests for the runtime signal-obligation check (Inspector obligations).
 
 Deterministic via ``poll_once()``: the first poll baselines each parked
 waiter's (monitor generation, per-variable write generations); later
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import Monitor, S
 from repro.preprocess import monitor_compile
-from repro.resilience import ObligationReport, ObligationTracker
+from repro.resilience import Inspector, InspectorReport
 
 
 @monitor_compile
@@ -65,14 +65,14 @@ class TestTracker:
         t = park_consumer(cell)
         try:
             reports = []
-            tracker = ObligationTracker(
+            tracker = Inspector(
                 [cell], generation_budget=5, on_report=reports.append
             )
             assert tracker.poll_once() is None  # baseline only
             for _ in range(10):
                 cell.tick()  # progress, but never on `ready`
             report = tracker.poll_once()
-            assert isinstance(report, ObligationReport)
+            assert isinstance(report, InspectorReport)
             assert reports == [report]
             (ob,) = report.obligations
             assert ob.monitor_class == "Cell"
@@ -89,7 +89,7 @@ class TestTracker:
         cell = Cell()
         t = park_consumer(cell)
         try:
-            tracker = ObligationTracker([cell], generation_budget=2)
+            tracker = Inspector([cell], generation_budget=2)
             tracker.poll_once()
             for _ in range(5):
                 cell.tick()
@@ -123,7 +123,7 @@ class TestTracker:
         while c.waiting_count() == 0:
             assert time.monotonic() < deadline
             time.sleep(0.005)
-        tracker = ObligationTracker([c], generation_budget=3)
+        tracker = Inspector([c], generation_budget=3)
         tracker.poll_once()
         for _ in range(5):
             c.bump()  # n: 0 → 5, predicate still false, but debited
@@ -136,7 +136,7 @@ class TestTracker:
     def test_departed_waiter_state_cleaned_up(self):
         cell = Cell()
         t = park_consumer(cell)
-        tracker = ObligationTracker([cell], generation_budget=5)
+        tracker = Inspector([cell], generation_budget=5)
         tracker.poll_once()
         assert len(tracker._first_seen) == 1
         drain(cell, t)
@@ -145,11 +145,11 @@ class TestTracker:
 
     def test_idle_monitor_never_escalates(self):
         """No section exits → no generation movement → no report; the
-        quiet case belongs to the StallWatchdog, not the tracker."""
+        quiet case is a stall, not an unmet obligation."""
         cell = Cell()
         t = park_consumer(cell)
         try:
-            tracker = ObligationTracker([cell], generation_budget=1)
+            tracker = Inspector([cell], generation_budget=1)
             tracker.poll_once()
             assert tracker.poll_once() is None
             assert tracker.poll_once() is None
@@ -161,7 +161,7 @@ class TestTracker:
         t = park_consumer(cell)
         try:
             got = threading.Event()
-            tracker = ObligationTracker(
+            tracker = Inspector(
                 [cell], generation_budget=3, poll_interval=0.01,
                 on_report=lambda r: got.set(),
             )
@@ -179,7 +179,7 @@ class TestTracker:
         cell = Cell()
         t = park_consumer(cell)
         try:
-            tracker = ObligationTracker(
+            tracker = Inspector(
                 [cell], generation_budget=2,
                 on_report=lambda r: None,
                 static_sites={"Cell": {"ready": ["coordinator.release_all()"]}},
@@ -197,7 +197,7 @@ class TestTracker:
 
     def test_watch_unwatch(self):
         cell = Cell()
-        tracker = ObligationTracker()
+        tracker = Inspector()
         tracker.watch(cell)
         tracker.watch(cell)  # idempotent
         assert len(tracker._monitors) == 1
@@ -206,7 +206,7 @@ class TestTracker:
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
-            ObligationTracker(generation_budget=0)
+            Inspector(generation_budget=0)
 
     def test_report_names_the_signal_path(self):
         """Cell is compiled with literal write sites, so its waiters are
@@ -215,7 +215,7 @@ class TestTracker:
         cell = Cell()
         t = park_consumer(cell)
         try:
-            tracker = ObligationTracker(
+            tracker = Inspector(
                 [cell], generation_budget=2, on_report=lambda r: None
             )
             tracker.poll_once()
@@ -228,7 +228,7 @@ class TestTracker:
             drain(cell, t)
 
     def test_signal_path_defaults_to_relay(self):
-        from repro.resilience.obligations import WaiterObligation
+        from repro.resilience.inspector import WaiterObligation
 
         ob = WaiterObligation(
             monitor_id=7, monitor_class="Bare", predicate="<opaque>",
@@ -244,7 +244,7 @@ class TestTracker:
         cell = Cell()
         before = set(vars(cell))
         enter = type(cell)._monitor_enter
-        tracker = ObligationTracker([cell], generation_budget=5)
+        tracker = Inspector([cell], generation_budget=5)
         tracker.poll_once()
         assert set(vars(cell)) == before
         assert type(cell)._monitor_enter is enter

@@ -1,5 +1,6 @@
 """Tests for repro.resilience: deadlines, cancellation, monitor poisoning,
-server supervision, the stall watchdog, and the chaos layer's own mechanics.
+server supervision, the inspector's stall check, and the chaos layer's own
+mechanics.
 
 The schedule-fuzz and liveness-under-fault tests live in
 ``test_resilience_chaos.py``; this file covers the per-feature semantics.
@@ -18,8 +19,8 @@ from repro.multi import complex_pred, multisynch
 from repro.preprocess import monitor_compile
 from repro.resilience import (
     CancelToken,
+    Inspector,
     ServerSupervisor,
-    StallWatchdog,
     ThreadKilledFault,
     chaos,
     supervise,
@@ -545,8 +546,8 @@ class TestWatchdog:
         reports = []
         t = _spawn(lambda: g.wait_open(timeout=10.0))
         time.sleep(0.05)
-        dog = StallWatchdog([g], quiet_period=0.2, poll_interval=0.05,
-                            on_stall=reports.append)
+        dog = Inspector([g], quiet_period=0.2, poll_interval=0.05,
+                        on_report=reports.append)
         with dog:
             deadline = time.monotonic() + 5.0
             while not reports and time.monotonic() < deadline:
@@ -567,8 +568,8 @@ class TestWatchdog:
     def test_quiet_monitor_is_not_reported(self):
         g = Gate()
         reports = []
-        dog = StallWatchdog([g], quiet_period=0.1, poll_interval=0.03,
-                            on_stall=reports.append)
+        dog = Inspector([g], quiet_period=0.1, poll_interval=0.03,
+                        on_report=reports.append)
         with dog:
             time.sleep(0.3)
         assert reports == []
@@ -577,7 +578,7 @@ class TestWatchdog:
         g = Gate()
         t = _spawn(lambda: g.wait_open(timeout=10.0))
         time.sleep(0.05)
-        dog = StallWatchdog([g], quiet_period=0.1)
+        dog = Inspector([g], quiet_period=0.1)
         assert dog.poll_once() is None          # baseline observation
         time.sleep(0.2)
         report = dog.poll_once()
