@@ -1,42 +1,46 @@
-"""AOT signal placement benchmarks, with a ratio-based perf gate.
+"""Section-exit signaling benchmarks, with a ratio-based perf gate.
 
-Times the section-exit signaling cost in three lanes:
+Times the section-exit signaling cost in two lanes:
 
-* ``direct`` — the default: AOT-planned exits run
-  ``ConditionManager.relay_signal(plan)``, which skips the tag probe;
-* ``tracked`` — the same exits with no plan, ``relay_signal()``: the
-  dependency-tracked relay with its tag probe (the pre-AOT behavior);
+* ``default`` — every exit runs ``ConditionManager.relay_signal()``, which
+  skips the tag probe while no tagged waiter is parked;
 * ``exhaustive`` — ``Config.track_dependencies = False``: the original
   scan-everything relay.
 
 Workloads: the 1-of-256 sparse pool from BENCH_relay_dirty.json driven at
-manager level in every lane, plus a bounded buffer and a readers-writers
-monitor driven end to end through compiled methods with idle waiters
-parked (``direct`` and ``exhaustive`` only: compiled methods always hand
-their plan to the exit).  For the sparse lane the per-op *write* cost (the
-``__setattr__`` dirty-tracking proxy) is measured separately and
-subtracted, so the committed exit-cost ratio compares signaling work
-against signaling work.
+manager level, plus a bounded buffer and a readers-writers monitor driven
+end to end through compiled methods with idle waiters parked.  Those two
+park real threads, and scheduler noise swings their per-op times by more
+than the tolerance: they are recorded, not gated.  For the sparse lane
+the per-op *write* cost (the ``__setattr__`` dirty-tracking proxy) is
+measured separately and subtracted, so the exit-cost ratio compares
+signaling work against signaling work.
 
-Results are written to ``BENCH_aot_signal.json`` at the repo root (set
-``REPRO_WRITE_BENCH=1``).  The CI perf-smoke job re-runs these benches and
-gates on *ratios* (same host, same process), not absolute times: the gate
-fails when a measured ratio falls more than 30% below the committed one,
-plus a static check that the committed record shows the direct exit beating
-the tracked relay by ≥2× on the sparse lane.
+``BENCH_aot_signal.json`` is the record of the retired signal plans: its
+``direct`` lane timed a planned exit, its ``tracked`` lane an unplanned
+one.  This module no longer rewrites it; it is the reference the gates
+hold the default exit to.  The CI perf-smoke job gates on ratios, not
+absolute times:
+
+* the sparse default exit beats the exhaustive scan by ≥10×;
+* timed alternately with the write-only lane in one process, the sparse
+  default exit costs at most 30% more, relative to the write, than the
+  committed planned exit did (median of the per-pair ratios);
+* the committed record still shows the planned exit beating the tracked
+  relay by ≥2× (a static check on the record).
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import threading
 import time
 
 import pytest
 
 from benchmarks.conftest import skip_if_gil_mismatch, stamp_build
-from repro.analysis.aot import MethodSignalPlan
 from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
@@ -50,22 +54,16 @@ BENCH_FILE = (
 
 RATIO_TOLERANCE = 0.30
 #: static acceptance floor on the committed record (ISSUE 7): the sparse
-#: direct-signal exit must beat the tracked relay by at least this factor
+#: planned exit beat the tracked relay by at least this factor
 SPARSE_EXIT_MIN_SPEEDUP = 2.0
-#: ratios the CI gate re-measures and compares against the committed record.
-#: Only the manager-level sparse ratios are gated: the end-to-end bounded
-#: buffer / readers-writers lanes park real threads, and scheduler noise
-#: swings their per-op times by more than the tolerance — they are recorded
-#: for the docs but not gated.  The raw (not baseline-subtracted) tracked
-#: ratio is gated because subtracting the shared write cost amplifies
-#: run-to-run variance; the ≥2× acceptance bar applies to the committed
-#: exit-cost ratio, where best-of-N discipline holds.
-GATED_RATIOS = ("sparse_raw_direct_vs_tracked",)
-#: absolute live floor for the asymptotic win: the direct exit must beat
+#: absolute live floor for the asymptotic win: the default exit must beat
 #: the exhaustive scan by at least this factor on every run (observed
-#: 27–86×; committed-relative gating is too noisy when the direct exit's
+#: 27–86×; committed-relative gating is too noisy when the default exit's
 #: small net cost sits in the denominator)
 EXHAUSTIVE_MIN_SPEEDUP = 10.0
+#: alternating (exit, write-only) timing pairs behind the interleaved gate;
+#: the lanes run back to back, so host drift cancels in each pair's ratio
+INTERLEAVED_PAIRS = 25
 
 
 def best_ns_per_op(fn, number: int, repeats: int = 5) -> float:
@@ -206,8 +204,8 @@ def bench_readers_writers() -> float:
 
 @monitor_compile
 class SparseBoard(Monitor):
-    """Minimal compiled class so the manager buckets every waiter; the bench
-    registers its 256-variable pool and synthesized per-variable plans."""
+    """Minimal compiled class; the bench registers its 256-variable pool
+    at manager level."""
 
     def __init__(self):
         super().__init__()
@@ -226,19 +224,15 @@ def _sparse_pool(n_waiters):
     m._dirty.clear()
     for name in names:
         mgr._register(Waiter(Predicate(getattr(S, name) != 0), m._lock))
-    plans = [
-        MethodSignalPlan(method=f"w{i}", write_set=frozenset({names[i]}))
-        for i in range(n_waiters)
-    ]
     with m._lock:
         mgr.relay_signal()   # drain the fresh-park evaluations
-    return m, mgr, names, plans
+    return m, mgr, names
 
 
-def bench_sparse_write_baseline(n_waiters: int, number: int) -> float:
+def sparse_write_run(n_waiters: int):
     """The shared per-op cost both signal lanes pay: one proxy ``setattr``
     per exit, no signaling.  Subtracted to isolate exit cost."""
-    m, mgr, names, plans = _sparse_pool(n_waiters)
+    m, mgr, names = _sparse_pool(n_waiters)
 
     def run(n):
         with m._lock:
@@ -250,28 +244,12 @@ def bench_sparse_write_baseline(n_waiters: int, number: int) -> float:
                     j = 0
             m._dirty.clear()
 
-    return best_ns_per_op(run, number)
+    return run
 
 
-def bench_sparse_direct(n_waiters: int, number: int) -> float:
-    m, mgr, names, plans = _sparse_pool(n_waiters)
-
-    def run(n):
-        with m._lock:
-            rs = mgr.relay_signal
-            j = 0
-            for _ in range(n):
-                setattr(m, names[j], 0)
-                rs(plans[j])
-                j += 1
-                if j == n_waiters:
-                    j = 0
-
-    return best_ns_per_op(run, number)
-
-
-def bench_sparse_relay(n_waiters: int, number: int) -> float:
-    m, mgr, names, plans = _sparse_pool(n_waiters)
+def sparse_exit_run(n_waiters: int):
+    """One write and one section exit per op, on the sparse pool."""
+    m, mgr, names = _sparse_pool(n_waiters)
 
     def run(n):
         with m._lock:
@@ -284,7 +262,27 @@ def bench_sparse_relay(n_waiters: int, number: int) -> float:
                 if j == n_waiters:
                     j = 0
 
-    return best_ns_per_op(run, number)
+    return run
+
+
+def interleaved_sparse_ratios(pairs: int = INTERLEAVED_PAIRS,
+                              number: int = 2000) -> list[float]:
+    """Per-pair (exit ÷ write-only) cost on the 1-of-256 pool, the two
+    lanes timed alternately in this process."""
+    exit_run, write_run = sparse_exit_run(256), sparse_write_run(256)
+    ratios = []
+    for _ in range(pairs):
+        exit_ns = best_ns_per_op(exit_run, number, repeats=3)
+        write_ns = best_ns_per_op(write_run, number, repeats=3)
+        ratios.append(exit_ns / write_ns)
+    return ratios
+
+
+def planned_exit_reference(committed: dict) -> float:
+    """The committed planned exit's cost relative to the write-only lane
+    (1313.8 / 445.0 = 2.95 in the committed record)."""
+    return (committed["lanes"]["direct"]["sparse_256"]
+            / committed["sparse_write_baseline"])
 
 
 # ------------------------------------------------------------------ suite
@@ -301,20 +299,19 @@ def run_suite() -> dict:
     lanes: dict[str, dict[str, float]] = {}
     try:
         cfg.compile_predicates = True
-        for lane in ("direct", "tracked", "exhaustive"):
+        for lane in ("default", "exhaustive"):
             _lane_config(lane)
-            sparse_number = 5000 if lane != "exhaustive" else 200
-            sparse_fn = (
-                bench_sparse_direct if lane == "direct" else bench_sparse_relay
-            )
-            lanes[lane] = {}
-            if lane != "tracked":
-                lanes[lane]["bounded_buffer"] = round(bench_bounded_buffer(), 1)
-                lanes[lane]["readers_writers"] = round(
-                    bench_readers_writers(), 1)
-            lanes[lane]["sparse_256"] = round(sparse_fn(256, sparse_number), 1)
-        _lane_config("direct")
-        write_baseline = round(bench_sparse_write_baseline(256, 20000), 1)
+            sparse_number = 5000 if lane == "default" else 200
+            lanes[lane] = {
+                "bounded_buffer": round(bench_bounded_buffer(), 1),
+                "readers_writers": round(bench_readers_writers(), 1),
+                "sparse_256": round(best_ns_per_op(
+                    sparse_exit_run(256), sparse_number), 1),
+            }
+        _lane_config("default")
+        write_baseline = round(
+            best_ns_per_op(sparse_write_run(256), 20000), 1)
+        interleaved = interleaved_sparse_ratios()
     finally:
         cfg.track_dependencies = prior_track
         cfg.compile_predicates = prior_compile
@@ -323,22 +320,19 @@ def run_suite() -> dict:
         return max(lanes[lane]["sparse_256"] - write_baseline, 0.1)
 
     ratios = {
-        "sparse_exit_direct_vs_tracked": round(
-            exit_cost("tracked") / exit_cost("direct"), 2
+        "sparse_exit_default_vs_exhaustive": round(
+            exit_cost("exhaustive") / exit_cost("default"), 2
         ),
-        "sparse_exit_direct_vs_exhaustive": round(
-            exit_cost("exhaustive") / exit_cost("direct"), 2
+        "sparse_interleaved_exit_vs_write": round(
+            statistics.median(interleaved), 2
         ),
-        "sparse_raw_direct_vs_tracked": round(
-            lanes["tracked"]["sparse_256"] / lanes["direct"]["sparse_256"], 2
-        ),
-        "bounded_buffer_direct_vs_exhaustive": round(
+        "bounded_buffer_default_vs_exhaustive": round(
             lanes["exhaustive"]["bounded_buffer"]
-            / lanes["direct"]["bounded_buffer"], 2
+            / lanes["default"]["bounded_buffer"], 2
         ),
-        "readers_writers_direct_vs_exhaustive": round(
+        "readers_writers_default_vs_exhaustive": round(
             lanes["exhaustive"]["readers_writers"]
-            / lanes["direct"]["readers_writers"], 2
+            / lanes["default"]["readers_writers"], 2
         ),
     }
     return stamp_build({
@@ -346,9 +340,9 @@ def run_suite() -> dict:
         "sparse_write_baseline": write_baseline,
         "lanes": lanes,
         "sparse_exit_ns": {
-            lane: round(exit_cost(lane), 1)
-            for lane in ("direct", "tracked", "exhaustive")
+            lane: round(exit_cost(lane), 1) for lane in ("default", "exhaustive")
         },
+        "sparse_interleaved_exit_vs_write": [round(r, 3) for r in interleaved],
         "ratios": ratios,
     })
 
@@ -358,12 +352,7 @@ def results():
     committed = None
     if BENCH_FILE.exists():
         committed = json.loads(BENCH_FILE.read_text())
-    fresh = run_suite()
-    import os
-
-    if os.environ.get("REPRO_WRITE_BENCH") == "1":
-        BENCH_FILE.write_text(json.dumps(fresh, indent=2) + "\n")
-    return {"committed": committed, "fresh": fresh}
+    return {"committed": committed, "fresh": run_suite()}
 
 
 def test_emit_report(results, capsys):
@@ -371,42 +360,54 @@ def test_emit_report(results, capsys):
         print("\n" + json.dumps(results["fresh"], indent=2))
 
 
-def test_direct_lane_skips_all_relay_search_work():
-    """ISSUE 7 acceptance: on AOT-matched exits the section exit performs
-    zero relay-search work — ``relay_skipped_aot`` grows while
-    ``relay_buckets_scanned`` stays flat (measured as deltas after setup,
-    so construction-time flushes don't count)."""
+def test_sparse_exits_evaluate_only_the_written_reader():
+    """Exact counts on the 1-of-256 pool: 64 exits, each writing one
+    variable with one parked reader, cost 64 predicate evaluations and no
+    tag check (the pool is untagged, so the probe never runs)."""
     cfg = get_config()
     prior_track = cfg.track_dependencies
     try:
-        _lane_config("direct")
-        m, mgr, names, plans = _sparse_pool(64)
+        _lane_config("default")
+        m, mgr, names = _sparse_pool(64)
         with m._lock:
-            skipped0 = mgr.metrics.relay_skipped_aot
-            scanned0 = mgr.metrics.relay_buckets_scanned
+            evals0 = mgr.metrics.predicate_evals
+            tags0 = mgr.metrics.tag_checks
             for j in range(64):
                 setattr(m, names[j], 0)
-                mgr.relay_signal(plans[j])
-            assert mgr.metrics.relay_skipped_aot - skipped0 == 64
-            assert mgr.metrics.relay_buckets_scanned - scanned0 == 0
-            assert mgr.metrics.relay_aot_fallbacks == 0
+                mgr.relay_signal()
+            assert mgr.metrics.predicate_evals - evals0 == 64
+            assert mgr.metrics.tag_checks - tags0 == 0
     finally:
         cfg.track_dependencies = prior_track
 
 
-def test_direct_exit_beats_tracked_relay_on_fresh_measurement(results):
-    """The direct exit must actually win against the tracked relay on the
-    sparse lane in this process (any margin; the ≥2× bar is enforced on the
-    committed record below, where best-of-N discipline applies)."""
-    assert results["fresh"]["ratios"]["sparse_raw_direct_vs_tracked"] > 1.0
+def test_default_exit_holds_the_planned_exit_cost(results):
+    """Timed alternately with the write-only lane, the sparse default exit
+    costs at most 30% more, relative to the write, than the committed
+    planned exit did: the median per-pair ratio stays within
+    (1 + RATIO_TOLERANCE) × the committed reference."""
+    committed = results["committed"]
+    if committed is None:
+        pytest.skip("no committed BENCH_aot_signal.json to gate against")
+    skip_if_gil_mismatch(committed)
+    reference = planned_exit_reference(committed)
+    ceiling = reference * (1.0 + RATIO_TOLERANCE)
+    pairs = results["fresh"]["sparse_interleaved_exit_vs_write"]
+    assert len(pairs) >= 20
+    got = statistics.median(pairs)
+    assert got <= ceiling, (
+        f"sparse exit costs {got:.2f}x the write-only lane (median of "
+        f"{len(pairs)} interleaved pairs); the committed planned exit cost "
+        f"{reference:.2f}x, ceiling {ceiling:.2f}x"
+    )
 
 
 def test_direct_exit_beats_exhaustive_scan_by_wide_margin(results):
     """Absolute floor on the asymptotic win over the pre-PR-5 exhaustive
     relay: ≥10× on the 1-of-256 sparse exit, every run."""
-    got = results["fresh"]["ratios"]["sparse_exit_direct_vs_exhaustive"]
+    got = results["fresh"]["ratios"]["sparse_exit_default_vs_exhaustive"]
     assert got >= EXHAUSTIVE_MIN_SPEEDUP, (
-        f"direct exit only {got:.1f}x faster than the exhaustive scan "
+        f"default exit only {got:.1f}x faster than the exhaustive scan "
         f"(need ≥{EXHAUSTIVE_MIN_SPEEDUP}x)"
     )
 
@@ -422,19 +423,3 @@ def test_static_sparse_exit_speedup_on_committed_record(results):
         f"committed sparse exit speedup {got:.2f}x below the "
         f"{SPARSE_EXIT_MIN_SPEEDUP}x acceptance floor"
     )
-
-
-def test_ratio_gate_vs_committed_record(results):
-    """Fail when a gated lane ratio regressed >30% vs the committed
-    BENCH_aot_signal.json (same-process ratios, runner-agnostic)."""
-    committed = results["committed"]
-    if committed is None:
-        pytest.skip("no committed BENCH_aot_signal.json to gate against")
-    skip_if_gil_mismatch(committed)
-    for key in GATED_RATIOS:
-        floor = committed["ratios"][key] * (1.0 - RATIO_TOLERANCE)
-        measured = results["fresh"]["ratios"][key]
-        assert measured >= floor, (
-            f"{key}: measured {measured:.2f}x fell >30% below the "
-            f"committed {committed['ratios'][key]:.2f}x"
-        )

@@ -9,8 +9,8 @@ same monitors, servers and signaling machinery the threaded frontend uses:
 * :class:`AsyncMonitorClient` — per-monitor client whose
   :meth:`~AsyncMonitorClient.wait_until` parks a **waiterless waiter**
   (:class:`~repro.core.waiter.AsyncWaiter`): registered in the condition
-  manager's dependency buckets and AOT direct-signal plans exactly like a
-  threaded waiter, but woken by a threadsafe loop callback instead of a
+  manager's tag index and dependency buckets exactly like a threaded
+  waiter, but woken by a threadsafe loop callback instead of a
   condition-variable notify — and whose :meth:`~AsyncMonitorClient.call`
   awaits delegated ``@asynchronous`` methods;
 * :func:`async_and` / :func:`async_or` — awaitable versions of the

@@ -67,8 +67,8 @@ class AsyncMonitorClient:
         """Awaitable ``waituntil(P)`` — PR-4 semantics, no parked thread.
 
         Registers a waiterless waiter in the monitor's condition manager
-        (dependency buckets, tag records, AOT direct coverage — identical
-        to a threaded ``wait_until``) whose wake action resolves an
+        (dependency buckets, tag records — identical to a threaded
+        ``wait_until``) whose wake action resolves an
         ``asyncio.Future`` via ``loop.call_soon_threadsafe``.  ``timeout``
         / ``deadline`` raise :class:`WaitTimeoutError`, a fired ``cancel``
         token raises :class:`WaitCancelledError`, and a poisoned monitor

@@ -1,61 +1,39 @@
-"""Ahead-of-time signal placement: the static write-site/predicate matcher.
+"""Static write-set closure over ``@monitor_compile`` classes (monlint W013).
 
-The dependency-tracked relay (PR 5) made the untagged relay search
-O(affected); this module removes the remaining per-exit search work on hot
-paths entirely, the way Ferles et al. lower implicit monitors into explicit
-targeted signals (*Symbolic Reasoning for Automatic Signal Placement*,
-PLDI'18): with the read/write-set information the preprocessor and the
-relay filter already compute, a ``@monitor_compile`` class can be analyzed
-**at decoration time** — each method's transitively-closed write set is
-matched against the read sets of every wait predicate the class can park,
-and methods whose writes are fully statically visible get a
-:class:`MethodSignalPlan`.  A planned method's section exit runs
-``ConditionManager.relay_signal(plan)``, where the plan is a precondition
-for skipping the tag-index probe: the exit bumps the written variables'
-generations, marks the (already-bucketed) readers eligible, and evaluates
-exactly those.
+Each method's transitively-closed write set is derived from its AST — the
+write-site/predicate matching Ferles et al. use to place signals statically
+(*Symbolic Reasoning for Automatic Signal Placement*, PLDI'18).  The
+runtime places no signal from it: every section exit runs the one relay
+routine, ``ConditionManager.relay_signal()``, whose dependency buckets
+already queue exactly the readers of the written variables.  The lint
+uses the closure to find the waits those buckets cannot filter: W013
+reports a wait whose predicate has an opaque read set in a class whose
+methods write statically visible variables.  Such a waiter sits in the
+relay's always-scan pool, so every section exit of its monitor runs the
+relay search and evaluates it.
 
-The same matching engine backs monlint's W013 so static analysis and the
-runtime agree about what is direct-signalable: W013 reports waits that are
-AOT-matchable *except* for an opaque read set — one ``reads=`` annotation
-away from skipping the relay.
-
-Everything here is conservative in the same direction as the relay filter:
-
-* a method whose source is unavailable, that lets bare ``self`` escape
-  (``setattr(self, ...)``, ``f(self)``), or that calls a self-method this
-  pass cannot resolve is **opaque** — no plan, probing relay exit;
-* a plan's write set is an upper bound; the runtime still checks
-  ``dirty <= plan.write_set`` on each planned exit and probes the tag
-  index when the observed writes escape the plan (monkeypatching, dynamic
-  attribute names), so relay invariance (Prop. 2) never rests on the
-  static result alone (safety argument in docs/performance.md).
+The closure is conservative: a method that lets bare ``self`` escape
+(``setattr(self, ...)``, ``f(self)``), or that calls a self-method this
+pass cannot resolve, is **opaque** and gets no plan.
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.liveness import predicate_reads
 from repro.analysis.model import MethodModel, ModuleModel, MonitorClassModel, _base_name
 from repro.analysis.rules import ALL_RULES, ProjectContext, Rule
-from repro.preprocess.transformer import (
-    _is_plain_self_attr,
-    _untracked_writes,
-)
+from repro.preprocess.transformer import _writes_in
 
 __all__ = [
     "MethodSignalPlan",
     "NONWRITING_SELF_CALLS",
-    "build_plans_for_class",
     "class_signal_plans",
     "close_write_sets",
-    "method_summary",
     "self_call_summary",
 ]
 
@@ -63,7 +41,7 @@ __all__ = [
 #: tracked shared variable.  Deliberately small: anything else reached
 #: through ``self`` that this pass cannot resolve (including a hand-written
 #: ``self._note_write`` — it marks an *aliased* write the AST cannot see)
-#: makes the caller opaque, which only costs it the generic relay exit.
+#: makes the caller opaque, which only drops it from W013's writers.
 NONWRITING_SELF_CALLS = frozenset({
     "wait_until", "signal_hint", "waiting_count", "dump_waiters",
 })
@@ -71,13 +49,12 @@ NONWRITING_SELF_CALLS = frozenset({
 
 @dataclass(frozen=True)
 class MethodSignalPlan:
-    """One method's statically-derived signal obligation on section exit.
+    """One method's statically-derived write set.
 
     ``write_set`` is the transitive closure of every shared variable the
     method (and the intra-class self-calls it makes) can write through
-    statically visible paths — the exact set of relay buckets a direct
-    exit must mark.  An empty set is a valid plan: a pure reader's exit
-    skips the search too (only freshly parked waiters need evaluating).
+    statically visible paths — the relay buckets its section exit marks.
+    An empty set is a valid plan: a pure reader.
     """
 
     method: str
@@ -117,46 +94,6 @@ def self_call_summary(
         for node in ast.walk(func_def)
     )
     return calls, escapes
-
-
-def _writes_in(func_def: ast.AST, self_name: str) -> set:
-    """Shared-variable names a method body writes through statically
-    visible paths — plain ``self.attr`` rebinds/deletes plus the
-    subscript/nested-attribute/mutator roots the preprocessor instruments
-    (mirrors ``transformer._method_write_vars``)."""
-    written: set = set()
-    for node in ast.walk(func_def):
-        if isinstance(node, ast.Attribute) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            if _is_plain_self_attr(node, self_name):
-                written.add(node.attr)
-    for node in ast.walk(func_def):
-        if isinstance(node, ast.stmt):
-            written |= _untracked_writes(node, self_name)
-    return {name for name in written if not name.startswith("_")}
-
-
-def method_summary(fn: Callable) -> Optional[tuple]:
-    """(writes, self-calls, escapes) of one raw method from its source,
-    or None when the source is unavailable — then the method is opaque
-    and so is every planned method that calls it."""
-    try:
-        source = textwrap.dedent(inspect.getsource(fn))
-    except (OSError, TypeError):
-        return None
-    try:
-        func_def = ast.parse(source).body[0]
-    except (SyntaxError, IndexError):  # pragma: no cover — defensive
-        return None
-    if not isinstance(func_def, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
-    if not func_def.args.args:
-        return None
-    self_name = func_def.args.args[0].arg
-    writes = _writes_in(func_def, self_name)
-    calls, escapes = self_call_summary(func_def, self_name)
-    return writes, calls, escapes
 
 
 def close_write_sets(
@@ -208,34 +145,8 @@ def close_write_sets(
     }
 
 
-def build_plans_for_class(methods: dict) -> dict:
-    """method name → :class:`MethodSignalPlan` for every non-opaque method.
-
-    ``methods`` maps names to *raw* (unwrapped) functions — the
-    ``monitor_compile`` view of the class body, dunders excluded.  Methods
-    not in the mapping (inherited, dynamically added) are unresolvable:
-    callers of such methods stay opaque, which is exactly the "cross-class
-    writers fall back to the relay" rule.
-    """
-    writes: dict = {}
-    calls: dict = {}
-    escapes: dict = {}
-    for name, fn in methods.items():
-        info = method_summary(fn)
-        if info is None:
-            writes[name], calls[name], escapes[name] = None, set(), True
-        else:
-            writes[name], calls[name], escapes[name] = info
-    closed = close_write_sets(writes, calls, escapes, set(methods))
-    return {
-        name: MethodSignalPlan(name, ws)
-        for name, ws in closed.items()
-        if ws is not None
-    }
-
-
 # ---------------------------------------------------------------------------
-# the lint frontend: the same matcher over AST models (monlint W013)
+# the lint frontend: the matcher over AST models (monlint W013)
 # ---------------------------------------------------------------------------
 
 def _is_compiled_class(node: ast.ClassDef) -> bool:
@@ -249,7 +160,8 @@ def _is_compiled_class(node: ast.ClassDef) -> bool:
 
 
 def _method_summary_ast(method: MethodModel) -> Optional[tuple]:
-    """AST-model twin of :func:`method_summary` for the lint pass."""
+    """(writes, self-calls, escapes) of one modelled method, or None
+    when it has no ``self`` parameter (then it is opaque)."""
     self_name = method.self_name
     if self_name is None:
         return None
@@ -261,9 +173,8 @@ def _method_summary_ast(method: MethodModel) -> Optional[tuple]:
 
 
 def class_signal_plans(cls: MonitorClassModel) -> dict:
-    """Signal plans for a linted class — the decoration-time analysis
-    replayed over the module model, so monlint reports exactly what
-    ``@monitor_compile`` will plan."""
+    """Signal plans for a linted class: method name →
+    :class:`MethodSignalPlan` for every non-opaque method."""
     writes: dict = {}
     calls: dict = {}
     escapes: dict = {}
@@ -283,22 +194,23 @@ def class_signal_plans(cls: MonitorClassModel) -> dict:
     }
 
 
-class OpaqueDirectSignal(Rule):
-    """W013 — this wait is one ``reads=`` annotation away from direct
-    signaling.
+class OpaqueReadSetRescan(Rule):
+    """W013 — this wait is re-evaluated on every section exit.
 
-    Fires only where the annotation would actually buy something: the
-    class is ``@monitor_compile``d and at least one method earned a plan
-    with a non-empty write set (so its exits *do* skip the relay search),
-    but this wait's predicate has an opaque read set, forcing every one of
-    those exits to re-evaluate it anyway.  Waits whose opacity comes from
-    an un-annotated ``S(fn, name)`` are W010's hint territory — the same
-    ``reads=`` fix, already reported there — so this rule skips them
-    rather than double-flagging one site.
+    Fires only where a ``reads=`` annotation would actually buy something:
+    the class is ``@monitor_compile``d and at least one method earned a
+    plan with a non-empty write set (its writes are statically visible, so
+    the relay's dependency buckets could route them to their readers), but
+    this wait's predicate has an opaque read set.  Such a waiter sits in
+    the relay's always-scan pool: every section exit of the monitor runs
+    the relay search and evaluates it, whatever the exit wrote.  Waits
+    whose opacity comes from an un-annotated ``S(fn, name)`` are W010's
+    hint territory — the same ``reads=`` fix, already reported there — so
+    this rule skips them rather than double-flagging one site.
     """
 
     code = "W013"
-    name = "opaque-read-set-blocks-direct-signal"
+    name = "opaque-read-set-rescanned-every-exit"
     severity = Severity.HINT
 
     def check(self, module: ModuleModel, ctx: ProjectContext) -> Iterator[Finding]:
@@ -310,7 +222,7 @@ class OpaqueDirectSignal(Rule):
                 name for name, plan in plans.items() if plan.write_set
             )
             if not planned_writers:
-                continue  # nothing signals directly here; relay is the path
+                continue  # no visible writer for the buckets to route
             for method in cls.methods.values():
                 if method.self_name is None:
                     continue
@@ -323,16 +235,18 @@ class OpaqueDirectSignal(Rule):
                     yield self._finding(
                         module.path, site.call,
                         "wait predicate has an opaque read set, so the "
-                        "AOT-planned write sites in this class ("
+                        "relay search re-evaluates it on every section "
+                        "exit, including those of the visible writers in "
+                        "this class ("
                         + ", ".join(f"{cls.name}.{m}()" for m in planned_writers)
-                        + ") must re-evaluate it on every direct-signal "
-                        "exit; express the condition over self.<attr> "
+                        + "); express the condition over self.<attr> "
                         "reads or annotate reads=(...) on the shared "
-                        "expression to enable direct signaling",
+                        "expression so that only exits writing what it "
+                        "reads evaluate it",
                     )
 
 
-AOT_RULES = [OpaqueDirectSignal]
+AOT_RULES = [OpaqueReadSetRescan]
 
 for _rule in AOT_RULES:
     if _rule not in ALL_RULES:

@@ -53,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
             "Static monitor-usage lint for the repro framework: predicate "
             "closure (W001/W002), relay invariance (W003), lock ordering "
             "and deadlock cycles (W004), tagging hints (W005), "
-            "signal-obligation liveness (W010-W012), AOT signal "
-            "placement (W013), and free-threaded atomicity (W014)."
+            "signal-obligation liveness (W010-W012), opaque read "
+            "sets (W013), and free-threaded atomicity (W014)."
         ),
     )
     parser.add_argument(

@@ -31,13 +31,11 @@ search is O(affected), not O(waiters).  Canonical shared-expression values
 used by the tag search are additionally memoized per summed read-variable
 generation.
 
-One wake path: :meth:`relay_signal` is the only section-exit routine.  An
-``@monitor_compile`` method's AOT signal plan is passed to it as a
-precondition, never as a second implementation: when the exit's dirty set
-lies inside the plan's write set, the routine skips the tag-index probe
-(every waiter of such a class also sits in the dependency buckets) and
-goes straight to the drain.  Everything else — flush, drain, poison,
-async delivery — is shared.
+One wake path: :meth:`relay_signal` is the only section-exit routine, and
+every exit runs it with no argument.  The tag-index probe is skipped while
+no parked waiter holds a tag record (an empty index can find no one);
+everything else — flush, drain, poison, async delivery — runs on every
+exit.
 
 Free-threading contract (no-GIL audit, docs/performance.md): every mutable
 structure here — ``var_gens`` bumps, ``_dirty`` flushes, dependency-bucket
@@ -49,8 +47,8 @@ by design and tolerate skew.
 
 Waiterless (async) waiters: the asyncio frontend (:mod:`repro.aio`)
 registers :class:`~repro.core.waiter.AsyncWaiter` records through
-:meth:`register_async` — same buckets, same tag records, same plan-skip
-coverage, so relay invariance (Prop. 2) needs no new argument.  The two
+:meth:`register_async` — same buckets, same tag records, so relay
+invariance (Prop. 2) needs no new argument.  The two
 asymmetries are on the wake and abandon sides: a signaler that finds a
 satisfied async waiter *delivers* it (claim, deregister, run the loop
 callback) and then **keeps searching** — the async waiter has no thread
@@ -157,15 +155,9 @@ class ConditionManager:
         #: the read variables' generations equals ``stamp`` (any tracked
         #: write strictly increases the sum)
         self._expr_memo: dict[Any, list] = {}
-        #: True when *every* waiter — tagged ones too — joins the
-        #: dependency buckets at registration: the monitor's class carries
-        #: ``@monitor_compile`` signal plans (docs/performance.md), so an
-        #: exit that skips the tag-index probe still queues each waiter a
-        #: write can have flipped.
-        self._bucket_all = (
-            mode == "autosynch" and self._tracked
-            and bool(getattr(type(monitor), "_repro_aot_plans", None))
-        )
+        #: parked waiters holding a tag record: the tag-index probe runs
+        #: only while this is nonzero (an empty index can find no one)
+        self._tagged = 0
 
     # ------------------------------------------------------------------ wait
     def wait_blocking(self, predicate: Predicate,
@@ -322,37 +314,19 @@ class ConditionManager:
             # have absorbed anyone else's wakeup, so no re-relay is needed
 
     # ---------------------------------------------------------------- signal
-    def relay_signal(self, plan=None) -> Optional[Waiter]:
+    def relay_signal(self) -> Optional[Waiter]:
         """Signal one waiter whose condition is true, if any (relay rule).
 
         The one section-exit routine: called whenever a thread exits the
         monitor or goes to wait.  Returns the signaled waiter (already
         marked) or None.  Guarantees relay invariance (Prop. 2): if some
         waiter's predicate is true, an active thread exists afterwards.
-
-        ``plan`` is the exiting method's AOT signal plan
-        (:class:`repro.analysis.aot.MethodSignalPlan`), if it has one — a
-        precondition, not a second path.  When tracking is live and the
-        observed dirty set lies inside ``plan.write_set``, the flush below
-        queues every waiter a write can have flipped (tagged ones too, see
-        ``_bucket_all``), so the tag-index probe cannot find anyone the
-        drain would miss and is skipped.  A dirty set that escapes the plan
-        (monkeypatched method, dynamic attribute name) counts a fallback
-        and probes as usual.
         """
         m = self.metrics
         if self._async_reap:
             self._reap_async()
         snap = config_snapshot()
-        probe = True
-        cand = None
         dirty = self._dirty
-        if plan is not None and self._bucket_all and snap.track_dependencies:
-            if dirty <= plan.write_set:
-                probe = False
-                m.relay_skipped_aot += 1
-            else:
-                m.relay_aot_fallbacks += 1
         # Flush the exiting section's dirty set *before* any early return:
         # per-variable generations must advance even when nobody waits, or
         # a memoized expression value could be revalidated against a stale
@@ -360,9 +334,7 @@ class ConditionManager:
         # the readers in its bucket *pending*: a marked waiter stays queued
         # until some search evaluates it, so a relay that signals another
         # waiter first never drops one whose predicate may have flipped
-        # (Prop. 2).  On a skipping exit the first fresh reader is held out
-        # as ``cand`` and evaluated before the queue — the typical exit
-        # flips exactly one waiter, and this skips its queue roundtrip.
+        # (Prop. 2).
         if dirty:
             gens = self.var_gens
             buckets = self._dep_buckets
@@ -371,17 +343,13 @@ class ConditionManager:
                 gens[name] = gens.get(name, 0) + 1
                 bucket = buckets.get(name)
                 if bucket:
-                    if probe:
-                        m.relay_buckets_scanned += 1
+                    m.relay_buckets_scanned += 1
                     for w in bucket:
                         if not w.pending:
                             w.pending = True
-                            if probe or cand is not None:
-                                eligible.append(w)
-                            else:
-                                cand = w
+                            eligible.append(w)
             dirty.clear()
-        if probe and self.mode == "baseline":  # a skipping exit is autosynch
+        if self.mode == "baseline":
             if snap.phase_timing:
                 with PhaseTimer(m, "relay_time"):
                     self._broadcast_cv.notify_all()
@@ -394,28 +362,7 @@ class ConditionManager:
         if _chaos.enabled:
             _chaos.fire("relay", self.monitor)
         t0 = time.perf_counter() if snap.phase_timing else None
-        if probe or self._always:
-            if cand is not None:
-                # opaque waiters drain first; cand is next out of the queue
-                self._eligible.append(cand)
-            waiter = self._find_satisfied_waiter(probe, snap)
-        else:
-            # The skipping exit's drain is cand, then the queue.  cand is
-            # evaluated here, like a drained queue entry, and the search
-            # runs only if the queue holds more.
-            waiter = None
-            if cand is not None:
-                cand.pending = False
-                if not cand.signaled:
-                    m.predicate_evals += 1
-                    try:
-                        if cand.eval_fn(self.monitor):
-                            waiter = cand
-                    except BaseException as exc:  # noqa: BLE001 — owner re-raises
-                        cand.poison = exc
-                        waiter = cand
-            if waiter is None and self._eligible:
-                waiter = self._find_satisfied_waiter(False, snap)
+        waiter = self._find_satisfied_waiter(snap)
         if t0 is not None:
             m.add_time("relay_time", time.perf_counter() - t0)
         # A satisfied async waiter consumes no baton: deliver its loop
@@ -426,7 +373,7 @@ class ConditionManager:
                 _chaos.fire("signal", waiter)
             if self._deliver_async(waiter):
                 m.bump("signals")
-            waiter = self._find_satisfied_waiter(probe, snap)
+            waiter = self._find_satisfied_waiter(snap)
         if waiter is not None:
             if _chaos.enabled:
                 _chaos.fire("signal", waiter)
@@ -468,10 +415,10 @@ class ConditionManager:
         """Register a waiterless waiter (caller holds the monitor lock).
 
         The record joins exactly the structures a threaded waiter would —
-        tag index, dependency buckets, plan-skip coverage — so
-        every signaling discipline covers it with no special cases on the
-        search side.  Baseline mode is refused: broadcasts wake parked
-        threads, and an async waiter has none.
+        tag index, dependency buckets — so every signaling discipline
+        covers it with no special cases on the search side.  Baseline mode
+        is refused: broadcasts wake parked threads, and an async waiter has
+        none.
         """
         if self.mode == "baseline":
             from repro.runtime.errors import MonitorError
@@ -527,11 +474,10 @@ class ConditionManager:
                 break
             self._deregister(w)
 
-    def _find_satisfied_waiter(self, probe: bool = True,
-                               snap=None) -> Optional[Waiter]:
+    def _find_satisfied_waiter(self, snap=None) -> Optional[Waiter]:
         """One relay search: the tag-index probe (equivalence + threshold,
-        skipped when ``probe`` is False), then the untagged drain.  ``snap``
-        is the caller's config snapshot, if it holds one.
+        skipped while no tagged waiter is parked), then the untagged drain.
+        ``snap`` is the caller's config snapshot, if it holds one.
 
         The drain re-checks opaque-read-set waiters on every search (a
         write to anything could have flipped them), then the eligible
@@ -552,7 +498,7 @@ class ConditionManager:
             return None
         if snap is None:
             snap = config_snapshot()
-        if probe:
+        if self._tagged:
             if snap.phase_timing:
                 with PhaseTimer(self.metrics, "tag_time"):
                     waiter = self.index.search(self._search_expr_cb,
@@ -601,9 +547,7 @@ class ConditionManager:
                     if hit:
                         found = w
                         break
-                if probe:
-                    self.metrics.relay_dirty_skips += (
-                        len(self._untagged) - popped)
+                self.metrics.relay_dirty_skips += len(self._untagged) - popped
             else:
                 # exhaustive fallback (tracking off, or a bare state object
                 # with no write instrumentation): evaluate every untagged
@@ -689,11 +633,8 @@ class ConditionManager:
                         if compile_ok else None
                     )
                     self._expr_reads[expr_key] = self._expr_key_reads(expr_key)
-            if self._bucket_all and not waiter.untagged:
-                # tagged waiters join the dependency buckets too, so an exit
-                # that skips the tag-index probe still reaches them.  The
-                # tag records stay for probing exits.
-                self._register_untagged(waiter)
+            if waiter.records:
+                self._tagged += 1
 
     def _register_untagged(self, waiter: Waiter) -> None:
         waiter.untagged = True
@@ -760,9 +701,11 @@ class ConditionManager:
             self.waiters.remove(waiter)
         except ValueError:
             pass
-        for record in waiter.records:
-            self.index.remove(record, waiter)
-        waiter.records.clear()
+        if waiter.records:
+            self._tagged -= 1
+            for record in waiter.records:
+                self.index.remove(record, waiter)
+            waiter.records.clear()
         if waiter.untagged:
             # stale queue entries are skipped on drain via the pending flag
             waiter.untagged = False

@@ -73,12 +73,8 @@ def unmonitored(fn: Callable) -> Callable:
     return fn
 
 
-def _wrap_method(fn: Callable, plan=None) -> Callable:
-    """Run ``fn`` as a critical section.  ``plan`` is the method's AOT
-    signal plan (:class:`repro.analysis.aot.MethodSignalPlan`), which
-    ``@monitor_compile`` supplies for methods whose write sets it could
-    close statically; the final exit hands it to the relay as a
-    precondition for skipping the tag-index probe (docs/performance.md)."""
+def _wrap_method(fn: Callable) -> Callable:
+    """Run ``fn`` as a critical section."""
     @functools.wraps(fn)
     def wrapper(self: "Monitor", *args, **kwargs):
         self._monitor_enter()
@@ -94,10 +90,9 @@ def _wrap_method(fn: Callable, plan=None) -> Callable:
                 self.mark_broken(exc)
             raise
         finally:
-            self._monitor_exit(plan)
+            self._monitor_exit()
 
     setattr(wrapper, "_repro_wrapped", True)
-    setattr(wrapper, "_repro_aot_plan", plan)
     return wrapper
 
 
@@ -243,7 +238,7 @@ class Monitor(metaclass=MonitorMeta):
             self._lock.release()
             raise BrokenMonitorError(f"{self!r} is broken", broken)
 
-    def _monitor_exit(self, aot_plan=None) -> None:
+    def _monitor_exit(self) -> None:
         if _monlint.enabled:
             _monlint.on_release(self)
         self._depth -= 1
@@ -255,7 +250,7 @@ class Monitor(metaclass=MonitorMeta):
             try:
                 for hook in self._exit_hooks:
                     hook(self)
-                self._cond_mgr.relay_signal(aot_plan)
+                self._cond_mgr.relay_signal()
             finally:
                 self._lock.release()
             # fires outside the lock: a kill injected here cannot wedge the

@@ -116,7 +116,7 @@ class AsyncWaiter(Waiter):
     """A waiterless waiter: a registration with no parked thread behind it.
 
     Joins the condition manager's structures exactly like a threaded waiter
-    — tag records, dependency buckets, plan-skip coverage — so the
+    — tag records, dependency buckets — so the
     relay-invariance argument (Prop. 2) is unchanged.  What differs is the
     wake side: there is no condition variable; when a signaler finds this
     waiter satisfied (or poisons it) it *claims* the record and runs

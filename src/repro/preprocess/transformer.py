@@ -474,10 +474,8 @@ def _build_once(condition: ast.expr, module_globals: dict,
 
 
 def _method_write_vars(fn: Callable) -> set[str]:
-    """Shared-variable names one raw method writes, proxy-visible or not:
-    plain ``self.attr`` rebinds/deletes plus the untracked in-place roots
-    ``_untracked_writes`` instruments.  Empty when the source is
-    unavailable (REPL/exec classes)."""
+    """:func:`_writes_in` of one raw method's source.  Empty when the
+    source is unavailable (REPL/exec classes)."""
     try:
         source = textwrap.dedent(inspect.getsource(fn))
     except (OSError, TypeError):
@@ -490,7 +488,13 @@ def _method_write_vars(fn: Callable) -> set[str]:
         return set()
     if not func_def.args.args:
         return set()
-    self_name = func_def.args.args[0].arg
+    return _writes_in(func_def, func_def.args.args[0].arg)
+
+
+def _writes_in(func_def: ast.AST, self_name: str) -> set[str]:
+    """Shared-variable names a method body writes, proxy-visible or not:
+    plain ``self.attr`` rebinds/deletes plus the untracked in-place roots
+    ``_untracked_writes`` instruments (monlint's W013 reads the same)."""
     written: set[str] = set()
     for node in ast.walk(func_def):
         if isinstance(node, ast.Attribute) and isinstance(
@@ -580,16 +584,6 @@ def monitor_compile(cls: T) -> T:
     Must sit *above* the Monitor metaclass's wrapping — i.e. applied to the
     already-created class — so it unwraps each auto-wrapped method, rewrites
     the original body, and re-wraps it.
-
-    Beyond the rewrite, compilation runs the ahead-of-time signal-placement
-    analysis (:mod:`repro.analysis.aot`): each method's transitively-closed
-    write set is derived from its raw source, and public methods whose
-    writes are fully statically visible are re-wrapped so their section
-    exits hand the plan to the relay — which then skips the tag-index
-    probe — with ``cls._repro_aot_plans`` recording the per-method plans.
-    Methods with bare-``self`` escapes, unresolvable calls, or no
-    retrievable source keep the plain relay exit, as do inherited methods
-    (cross-class writers always probe).
     """
     from repro.core.monitor import Monitor, _wrap_method
 
@@ -599,13 +593,10 @@ def monitor_compile(cls: T) -> T:
     #: candidate write sites, consumed by the runtime Inspector
     #: when naming who *could* have discharged a starving wait)
     write_sites: dict[str, list[str]] = {}
-    #: raw (unwrapped) functions, for the AOT signal-placement analysis
-    raw_methods: dict[str, Callable] = {}
     for name, value in list(vars(cls).items()):
         if not callable(value) or (name.startswith("__") and name.endswith("__")):
             continue
         raw = getattr(value, "__wrapped__", value)
-        raw_methods[name] = raw
         for var in _method_write_vars(raw):
             methods = write_sites.setdefault(var, [])
             if name not in methods:
@@ -624,19 +615,4 @@ def monitor_compile(cls: T) -> T:
     cls._repro_write_sites = {
         var: sorted(methods) for var, methods in write_sites.items()
     }
-    # ---- ahead-of-time signal placement ---------------------------------
-    # lazy import: the analysis package loads only when a class actually
-    # compiles, never on plain Monitor use
-    from repro.analysis.aot import build_plans_for_class
-
-    aot_plans = build_plans_for_class(raw_methods)
-    for name, plan in aot_plans.items():
-        if name.startswith("_"):
-            continue  # helpers run under a public caller's exit
-        current = vars(cls).get(name)
-        if current is None or not getattr(current, "_repro_wrapped", False):
-            continue  # unmonitored / property-like: no section exit to plan
-        inner = getattr(current, "__wrapped__", current)
-        setattr(cls, name, _wrap_method(inner, plan))
-    cls._repro_aot_plans = aot_plans
     return cls

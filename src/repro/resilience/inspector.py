@@ -121,11 +121,6 @@ class WaiterObligation:
     var_deltas: dict = field(default_factory=dict)
     #: sections the static pass says *could* write a read variable
     candidate_sites: dict = field(default_factory=dict)
-    #: which exits serve this waiter: "direct" when the monitor's class
-    #: has AOT signal plans (its planned exits reach the waiter without a
-    #: tag-index probe), "relay" otherwise — so stall triage blames the
-    #: right layer
-    signal_path: str = "relay"
 
     @property
     def unwritten_vars(self) -> list:
@@ -141,7 +136,7 @@ class WaiterObligation:
             f"obligation unmet on monitor #{self.monitor_id} "
             f"{self.monitor_class}: waiter on {self.predicate} "
             f"reads={reads} outlived {self.generations_outlived} "
-            f"section exits with zero debits (path={self.signal_path})"
+            "section exits with zero debits"
         ]
         for var in self.unwritten_vars:
             sites = self.candidate_sites.get(var)
@@ -449,9 +444,5 @@ class Inspector:
                 generations_outlived=outlived,
                 var_deltas=deltas,
                 candidate_sites=self._candidate_sites(m, deltas),
-                signal_path=(
-                    "direct" if getattr(type(m), "_repro_aot_plans", None)
-                    else "relay"
-                ),
             ))
         return out

@@ -64,13 +64,9 @@ class Metrics:
     relay_buckets_scanned: int = 0  #: read-set buckets flushed into the
                                     #: eligible queue by write tracking (one
                                     #: per dirtied variable with parked readers)
-    relay_skipped_aot: int = 0  #: section exits whose AOT signal plan covered
-                                #: the dirty set: the tag probe and the relay
-                                #: search bookkeeping (bucket and dirty-skip
-                                #: counts) were skipped
-    relay_aot_fallbacks: int = 0  #: planned exits that probed anyway because
-                                  #: the observed dirty set escaped the static
-                                  #: write-set plan
+    relay_skipped_aot: int = 0  #: always 0; kept because the e2e
+                                #: benchmark's tracer reads it
+    relay_aot_fallbacks: int = 0  #: always 0; kept for the same reader
     stm_commits: int = 0        #: STM transactions committed
     stm_aborts: int = 0         #: STM transactions aborted/retried
     wait_timeouts: int = 0      #: bounded waits that expired (WaitTimeoutError)

@@ -1,12 +1,14 @@
-"""Lint fixture: W013 (hint) — an opaque read set blocks direct signaling.
+"""Lint fixture: W013 (hint) — an opaque read set is re-evaluated on
+every section exit.
 
-The class is ``@monitor_compile``d and ``refill``/``take`` earn AOT signal
-plans (their write sets close statically over ``stock``), so their section
-exits signal directly and skip the relay search.  But ``take``'s wait
-predicate is a method call — an opaque read set — so every one of those
-direct exits must re-evaluate it anyway.  Writing the condition over
-``self.stock`` (or annotating ``reads=`` on a shared expression) lets the
-AOT matcher route it through the written-variable buckets instead.
+The class is ``@monitor_compile``d and ``refill`` writes ``stock`` through
+a statically visible path, so the relay's dependency buckets could route
+that write to the waiters that read ``stock``.  But ``take``'s wait
+predicate is a method call — an opaque read set — so the waiter sits in
+the relay's always-scan pool: every section exit runs the relay search
+and evaluates it.  Writing the condition over ``self.stock`` (or
+annotating ``reads=`` on a shared expression) lets the buckets route
+only the writes it reads.
 """
 
 from repro.core import Monitor

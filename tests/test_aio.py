@@ -4,7 +4,7 @@ the differential property suite.
 The load-bearing test mirrors ``test_aot_signal.py``'s harness: the same
 randomized park/write/abandon/poison schedules are driven with threaded
 waiters, with async (waiterless) waiters, and with a mixed population —
-through both the dependency-tracked relay and the AOT direct-signal exit —
+through both the dependency-tracked relay and the exhaustive scan —
 and the per-step wake sets must be identical.  That is the relay-invariance
 argument for the frontend: an :class:`AsyncWaiter` occupies exactly a
 threaded waiter's place in every search structure, so every signaling
@@ -68,7 +68,7 @@ def _restore_config():
 
 @monitor_compile
 class Board(Monitor):
-    """One public writer per shared variable (singleton AOT write sets)."""
+    """One public writer per shared variable."""
 
     def __init__(self):
         super().__init__()
@@ -92,8 +92,6 @@ class Board(Monitor):
     def peek(self):
         return self.v0
 
-
-PLANS = Board._repro_aot_plans
 
 
 # ------------------------------------------------ differential (hypothesis)
@@ -130,20 +128,16 @@ def _drive(ops, signaling: str, kind: str) -> list[frozenset]:
     return the set of waiters woken after each step.
 
     ``signaling``: ``tracked`` exits through the dependency-filtered
-    relay, ``direct`` through the AOT direct-signal path.  ``kind``:
+    relay, ``exhaustive`` through the scan-everything relay
+    (``track_dependencies = False``).  ``kind``:
     ``threaded`` parks only classic waiters, ``async`` only waiterless
     ones, ``mixed`` alternates — one relay call may then wake several
     async waiters *and* hand the baton to one threaded waiter.
     """
     cfg = get_config()
-    cfg.track_dependencies = True
+    cfg.track_dependencies = signaling != "exhaustive"
     m = Board()
     mgr = m._cond_mgr
-
-    def drain_step(plan):
-        if signaling == "direct":
-            return mgr.direct_signal(plan)
-        return mgr.relay_signal()
 
     live: dict[int, Waiter] = {}
     delivered: list[int] = []
@@ -167,16 +161,13 @@ def _drive(ops, signaling: str, kind: str) -> list[frozenset]:
     with m._lock:
         mgr.relay_signal()   # flush construction writes
         for op in ops:
-            plan = PLANS["peek"]
             if op[0] == "park":
                 park(_build_pred(op[1]))
             elif op[0] == "write":
                 setattr(m, f"v{op[1]}", op[2])
-                plan = PLANS[f"w{op[1]}"]
             elif op[0] == "write2":
                 setattr(m, f"v{op[1]}", op[3])
                 setattr(m, f"v{op[2]}", op[3])
-                plan = PLANS[f"w{op[1]}"]
             elif op[0] == "abandon" and live:
                 # the timeout/cancel shape for each population: threaded
                 # waiters deregister under the lock, async waiters claim
@@ -190,8 +181,7 @@ def _drive(ops, signaling: str, kind: str) -> list[frozenset]:
             woken: set[int] = set()
             for _ in range(len(live) + len(ops) + 2):
                 mark = len(delivered)
-                w = drain_step(plan)
-                plan = PLANS["peek"]   # baton re-relay wrote nothing new
+                w = mgr.relay_signal()
                 progressed = False
                 for wid in delivered[mark:]:
                     woken.add(wid)
@@ -238,11 +228,12 @@ _op = st.one_of(
 @given(st.lists(_op, min_size=1, max_size=24))
 def test_async_waiters_match_threaded_wake_sets(ops):
     """Waiterless waiters wake exactly when threaded waiters would, step
-    for step, under both the tracked relay and the AOT direct exit."""
+    for step, under both the tracked relay and the exhaustive scan."""
     base = _drive(ops, "tracked", "threaded")
     assert _drive(ops, "tracked", "async") == base
-    assert _drive(ops, "direct", "async") == base
-    assert _drive(ops, "direct", "mixed") == base
+    assert _drive(ops, "tracked", "mixed") == base
+    assert _drive(ops, "exhaustive", "async") == base
+    assert _drive(ops, "exhaustive", "mixed") == base
 
 
 def test_abandoned_async_waiter_is_reaped_by_next_lock_holder():

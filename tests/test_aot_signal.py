@@ -1,14 +1,13 @@
-"""AOT signal placement: static plans, direct signaling, and the
-differential property suite.
+"""Section-exit signaling on a compiled monitor: the relay's probe skip
+and the differential property suite.
 
-Covers the subsystem described in docs/performance.md ("Ahead-of-time
-signal placement"): per-method write-set closure computed at decoration
-time, the direct-signal exit that skips the relay's bucket search, the
-dirty-subset soundness guard, and — the load-bearing part — a hypothesis
-differential test checking that direct signaling wakes exactly the waiters
-the dependency-tracked relay (and the exhaustive scan) would, over
-randomized schedules mixing parks, writes, plan-mismatched bulk writes,
-abandonment, and poisoned (raising) predicates.
+Covers docs/performance.md ("What a section exit skips"): every exit runs
+``relay_signal()`` with no argument, and it skips the tag-index probe
+while no tagged waiter is parked.  The load-bearing part is a hypothesis
+differential test checking that the dependency-tracked relay wakes exactly
+the waiters the exhaustive scan wakes, over randomized schedules mixing
+parks, writes, bulk writes, abandonment, and poisoned (raising)
+predicates.
 """
 
 from __future__ import annotations
@@ -23,8 +22,10 @@ from repro.analysis.aot import MethodSignalPlan
 from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
+from repro.core.tag_index import TagIndex
 from repro.core.waiter import Waiter
-from repro.preprocess import monitor_compile
+from repro.preprocess import monitor_compile, waituntil
+from repro.resilience import ThreadKilledFault, chaos
 from repro.runtime.config import get_config
 
 NV = 4  #: shared variables v0..v3 in the differential board
@@ -40,8 +41,7 @@ def _restore_config():
 
 @monitor_compile
 class DirectBoard(Monitor):
-    """One public writer per shared variable, so each method's AOT plan has
-    a singleton write set; ``peek`` is a pure reader with an empty plan."""
+    """One public writer per shared variable; ``peek`` is a pure reader."""
 
     def __init__(self):
         super().__init__()
@@ -66,26 +66,7 @@ class DirectBoard(Monitor):
         return self.v0
 
 
-PLANS = DirectBoard._repro_aot_plans
-
-
-# ------------------------------------------------------------------- plans
-
-
-def test_plans_cover_every_public_method():
-    assert set(PLANS) >= {"w0", "w1", "w2", "w3", "peek"}
-    for i in range(NV):
-        assert PLANS[f"w{i}"].write_set == frozenset({f"v{i}"})
-    assert PLANS["peek"].write_set == frozenset()
-
-
-def test_public_methods_are_direct_wrapped():
-    for i in range(NV):
-        method = getattr(DirectBoard, f"w{i}")
-        assert getattr(method, "_repro_aot_plan", None) is PLANS[f"w{i}"]
-
-
-# ------------------------------------------------------- direct-signal unit
+# ------------------------------------------------------------ exit skips
 
 
 def _park(mgr, lock, pred):
@@ -103,43 +84,8 @@ def _fresh_board():
     return b
 
 
-def test_direct_signal_skips_the_bucket_scan():
-    get_config().track_dependencies = True
-    b = _fresh_board()
-    mgr = b._cond_mgr
-    with b._lock:
-        w = _park(mgr, b._lock, Predicate(S.v0 != 0))
-        mgr.direct_signal(PLANS["peek"])   # fresh park evaluated (false)
-        scanned = mgr.metrics.relay_buckets_scanned
-        skipped = mgr.metrics.relay_skipped_aot
-        b.v0 = 1
-        assert mgr.direct_signal(PLANS["w0"]) is w
-        assert mgr.metrics.relay_buckets_scanned == scanned
-        assert mgr.metrics.relay_skipped_aot > skipped
-        assert mgr.metrics.relay_aot_fallbacks == 0
-        mgr._deregister(w)
-
-
-def test_mismatched_dirty_set_falls_back_to_relay():
-    """Writes outside the plan (monkeypatching, dynamic attributes) trip
-    the subset guard: the exit degrades to a generic relay and still wakes
-    the right waiter."""
-    get_config().track_dependencies = True
-    b = _fresh_board()
-    mgr = b._cond_mgr
-    with b._lock:
-        w = _park(mgr, b._lock, Predicate(S.v1 != 0))
-        mgr.direct_signal(PLANS["peek"])
-        b.v0 = 1
-        b.v1 = 1   # dirty = {v0, v1} is not a subset of w0's plan
-        fallbacks = mgr.metrics.relay_aot_fallbacks
-        assert mgr.direct_signal(PLANS["w0"]) is w
-        assert mgr.metrics.relay_aot_fallbacks == fallbacks + 1
-        mgr._deregister(w)
-
-
 def test_direct_signal_still_advances_generations():
-    """Direct exits must keep ``var_gens`` moving: stamp memos and the
+    """Exits must keep ``var_gens`` moving: stamp memos and the
     obligation tracker depend on generations, not on which search ran."""
     get_config().track_dependencies = True
     b = _fresh_board()
@@ -147,9 +93,105 @@ def test_direct_signal_still_advances_generations():
     with b._lock:
         g0 = mgr.var_gens.get("v0", 0)
         b.v0 = 5
-        mgr.direct_signal(PLANS["w0"])
+        mgr.relay_signal()
         assert mgr.var_gens["v0"] == g0 + 1
         assert not b._dirty
+
+
+def test_killed_relay_leaves_its_marked_reader_queued():
+    """A thread killed at the relay's chaos site must not strand the
+    reader its exit wrote for: a later exit that writes the same variable
+    still evaluates and signals it (Prop. 2)."""
+    get_config().track_dependencies = True
+    b = _fresh_board()
+    mgr = b._cond_mgr
+    with b._lock:
+        w = _park(mgr, b._lock, Predicate(S.v0 != 0))
+        assert mgr.relay_signal() is None   # fresh park evaluated (false)
+        chaos.configure(kill={"relay": 1})
+        chaos.enable()
+        try:
+            b.v0 = 1
+            with pytest.raises(ThreadKilledFault):
+                mgr.relay_signal()
+        finally:
+            chaos.reset()
+        b.v0 = 2
+        assert mgr.relay_signal() is w
+        mgr._deregister(w)
+
+
+def test_probe_runs_only_while_a_tagged_waiter_is_parked(monkeypatch):
+    get_config().track_dependencies = True
+    b = _fresh_board()
+    mgr = b._cond_mgr
+    m = mgr.metrics
+    probes = []
+    search = TagIndex.search
+
+    def counted(index, *args):
+        if index is mgr.index:
+            probes.append(args)
+        return search(index, *args)
+
+    monkeypatch.setattr(TagIndex, "search", counted)
+    with b._lock:
+        untagged = _park(mgr, b._lock, Predicate(S.v1 != 0))
+        b.v1 = 0
+        assert mgr.relay_signal() is None
+        assert probes == []
+        w = _park(mgr, b._lock, Predicate(S.v0 > 5))
+        tags = m.tag_checks
+        b.v0 = 1
+        assert mgr.relay_signal() is None
+        assert len(probes) == 1 and m.tag_checks > tags
+        mgr._deregister(w)
+        mgr._deregister(w)   # a second unlink (the async reap race) is a no-op
+        assert mgr._tagged == 0
+        b.v0 = 9
+        assert mgr.relay_signal() is None
+        assert len(probes) == 1
+        mgr._deregister(untagged)
+
+
+@monitor_compile
+class ReadersWriters(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.readers = 0
+        self.writer = 0
+
+    def start_read(self):
+        waituntil(self.writer == 0)
+        self.readers += 1
+
+    def end_read(self):
+        self.readers -= 1
+
+
+def test_parked_writers_cost_no_evaluations_on_reader_exits():
+    """Writers parked on ``readers == 0 and writer == 0`` carry an
+    equivalence tag: a reader's exits probe its table and evaluate none of
+    them.  The one evaluation per cycle left is start_read's own wait."""
+    get_config().track_dependencies = True
+    rw = ReadersWriters()
+    rw.start_read()   # pin readers >= 1 so no writer can proceed
+    mgr = rw._cond_mgr
+    with rw._lock:
+        writers = [
+            _park(mgr, rw._lock,
+                  Predicate((S.readers == 0) & (S.writer == 0)))
+            for _ in range(8)
+        ]
+        mgr.relay_signal()
+    evals = rw.metrics.predicate_evals
+    for _ in range(16):
+        rw.start_read()
+        rw.end_read()
+    assert rw.metrics.predicate_evals == evals + 16
+    with rw._lock:
+        for w in writers:
+            mgr._deregister(w)
 
 
 # ------------------------------------------------ differential (hypothesis)
@@ -185,30 +227,18 @@ def _oracle_true(waiter, monitor) -> bool:
         return True  # a raising predicate absorbs the signal (poison path)
 
 
-def _drive(ops, lane: str, rng=None) -> list[frozenset]:
+def _drive(ops, lane: str) -> list[frozenset]:
     """Apply one randomized schedule through one signaling lane; return the
     set of waiters woken after each step.
 
-    Lanes: ``direct`` exits through ``direct_signal`` with the writing
-    method's AOT plan (the bulk-write op deliberately presents a mismatched
-    plan to exercise the fallback guard); ``tracked`` and ``exhaustive``
-    exit through the runtime relay with filtering on/off; ``mixed`` flips
-    ``rng`` per exit between passing the plan and passing None, so the
-    pending state a planned exit leaves is consumed by a probing one and
-    vice versa.  After every drain the exhaustive oracle checks no live
-    waiter holds a true predicate.
+    Lanes: ``tracked`` and ``exhaustive`` exit through the runtime relay
+    with filtering on/off.  After every drain the exhaustive oracle checks
+    no live waiter holds a true predicate.
     """
     cfg = get_config()
     cfg.track_dependencies = lane != "exhaustive"
     m = DirectBoard()
     mgr = m._cond_mgr
-
-    def drain_step(plan):
-        if lane == "direct":
-            return mgr.direct_signal(plan)
-        if lane == "mixed":
-            return mgr.relay_signal(plan if rng.random() < 0.5 else None)
-        return mgr.relay_signal()
 
     live: dict[int, Waiter] = {}
     log: list[frozenset] = []
@@ -216,19 +246,15 @@ def _drive(ops, lane: str, rng=None) -> list[frozenset]:
     with m._lock:
         mgr.relay_signal()   # flush construction writes
         for op in ops:
-            plan = PLANS["peek"]
             if op[0] == "park":
                 live[next_wid] = _park(mgr, m._lock, _build_pred(op[1]))
                 next_wid += 1
             elif op[0] == "write":
                 setattr(m, f"v{op[1]}", op[2])
-                plan = PLANS[f"w{op[1]}"]
             elif op[0] == "write2":
-                # two variables dirtied, one plan: the direct lane must
-                # detect the mismatch and fall back without losing a wake
+                # two variables dirtied by one exit
                 setattr(m, f"v{op[1]}", op[3])
                 setattr(m, f"v{op[2]}", op[3])
-                plan = PLANS[f"w{op[1]}"]
             elif op[0] == "abandon" and live:
                 # timeout/cancel shape: deregister, then re-signal (the
                 # drain below) so an absorbed baton is handed on
@@ -236,13 +262,12 @@ def _drive(ops, lane: str, rng=None) -> list[frozenset]:
                 mgr._deregister(live.pop(wid))
             woken = set()
             for _ in range(len(live) + len(ops) + 2):
-                w = drain_step(plan)
+                w = mgr.relay_signal()
                 if w is None:
                     break
                 wid = next(k for k, v in live.items() if v is w)
                 woken.add(wid)
                 mgr._deregister(live.pop(wid))
-                plan = PLANS["peek"]   # baton re-relay wrote nothing new
             else:  # pragma: no cover - signal livelock
                 raise AssertionError("signaling never quiesced")
             for wid, w in live.items():
@@ -273,31 +298,11 @@ _op = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(_op, min_size=1, max_size=30), st.randoms(use_true_random=False))
-def test_direct_signal_matches_relay_search(ops, rng):
-    """Direct AOT exits wake exactly the waiters the dependency-tracked
-    relay and the exhaustive scan wake, step for step — also when planned
-    and probing exits interleave in one schedule."""
-    direct = _drive(ops, "direct")
-    assert direct == _drive(ops, "tracked")
-    assert direct == _drive(ops, "exhaustive")
-    assert direct == _drive(ops, "mixed", rng)
-
-
-def test_direct_lane_actually_skips_relays():
-    """Sanity for the differential harness itself: the direct lane takes
-    the skip path (not a permanent fallback)."""
-    cfg = get_config()
-    cfg.track_dependencies = True
-    b = _fresh_board()
-    mgr = b._cond_mgr
-    with b._lock:
-        w = _park(mgr, b._lock, Predicate(S.v2 != 0))
-        mgr.direct_signal(PLANS["peek"])
-        b.v2 = 1
-        assert mgr.direct_signal(PLANS["w2"]) is w
-        mgr._deregister(w)
-    assert mgr.metrics.relay_skipped_aot >= 2
+@given(st.lists(_op, min_size=1, max_size=30))
+def test_direct_signal_matches_relay_search(ops):
+    """The dependency-tracked relay, skips included, wakes exactly the
+    waiters the exhaustive scan wakes, step for step."""
+    assert _drive(ops, "tracked") == _drive(ops, "exhaustive")
 
 
 # ------------------------------------------------------------ real threads
@@ -337,7 +342,7 @@ def test_threaded_direct_wakes_match_expected():
     for t in threads:
         t.join(timeout=deadline_join)
     assert sorted(done) == list(range(6))
-    assert f.metrics.relay_skipped_aot > 0
+    assert f.metrics.tag_checks == 0
 
 
 def test_plan_is_frozen_and_hashable():

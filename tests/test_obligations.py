@@ -208,35 +208,6 @@ class TestTracker:
         with pytest.raises(ValueError):
             Inspector(generation_budget=0)
 
-    def test_report_names_the_signal_path(self):
-        """Cell is compiled with literal write sites, so its waiters are
-        served by AOT direct signaling — the report must say so, so a
-        starvation is triaged against the right wake path."""
-        cell = Cell()
-        t = park_consumer(cell)
-        try:
-            tracker = Inspector(
-                [cell], generation_budget=2, on_report=lambda r: None
-            )
-            tracker.poll_once()
-            for _ in range(5):
-                cell.tick()
-            (ob,) = tracker.poll_once().obligations
-            assert ob.signal_path == "direct"
-            assert "(path=direct)" in ob.describe()
-        finally:
-            drain(cell, t)
-
-    def test_signal_path_defaults_to_relay(self):
-        from repro.resilience.inspector import WaiterObligation
-
-        ob = WaiterObligation(
-            monitor_id=7, monitor_class="Bare", predicate="<opaque>",
-            read_set=None, generations_outlived=9,
-        )
-        assert ob.signal_path == "relay"
-        assert "(path=relay)" in ob.describe()
-
     def test_disabled_tracker_installs_no_hooks(self):
         """Creating (and even starting) a tracker must not touch the
         monitor: no attributes added, no wrappers installed — the hot

@@ -1,11 +1,17 @@
 """Tests for the preprocessor: natural waituntil syntax → DSL rewriting."""
 
+import json
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core import Monitor
 from repro.core.tags import TagKind, tag_predicate
 from repro.preprocess import monitor_compile, waituntil
@@ -530,3 +536,43 @@ class TestIdentityAndMembership:
         t1.join(10)
         assert not t1.is_alive()
         assert done == [2, 1]
+
+
+_COMPILED_MODULE = textwrap.dedent("""
+    from repro.core import Monitor
+    from repro.preprocess import monitor_compile, waituntil
+
+
+    @monitor_compile
+    class Cell(Monitor):
+        def __init__(self):
+            super().__init__()
+            self.value = 0
+
+        def put(self, v):
+            self.value = v
+
+        def take(self):
+            waituntil(self.value != 0)
+            return self.value
+""")
+
+
+def test_monitor_compile_does_not_load_the_linter(tmp_path):
+    """Compiling a class loads no linter module: of ``repro.analysis``,
+    only the runtime hooks ``repro.core`` imports may be present."""
+    (tmp_path / "compiled_cell.py").write_text(_COMPILED_MODULE)
+    code = (
+        "import json, sys, compiled_cell\n"
+        "print(json.dumps([compiled_cell.Cell._repro_write_sites,\n"
+        "    sorted(m for m in sys.modules if m.startswith('repro.analysis'))]))\n"
+    )
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([str(src), str(tmp_path)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    write_sites, loaded = json.loads(proc.stdout)
+    assert write_sites == {"value": ["put"]}   # the class did compile
+    assert set(loaded) <= {"repro.analysis", "repro.analysis.runtime"}, loaded

@@ -633,11 +633,10 @@ class TestChaosLayer:
         assert chaos.stats()["fired"]["queue_put"] == 1
 
 
-# ==================================================== AOT direct-signal paths
+# ================================================== compiled-monitor exits
 @monitor_compile
 class DirectShelf(Monitor):
-    """Compiled monitor whose public writers carry AOT signal plans, so
-    section exits signal waiters directly instead of running the relay."""
+    """Compiled monitor: its section exits run the one relay routine."""
 
     def __init__(self, **kw):
         super().__init__(**kw)
@@ -657,20 +656,17 @@ class DirectShelf(Monitor):
 
 class TestDirectSignalResilience:
     """Timeouts, cancellation, abandonment re-relay and poisoning must all
-    behave identically when the waking side is an AOT direct-signal exit
-    rather than the runtime relay search."""
+    behave identically when the waking side is a compiled monitor's
+    section exit."""
 
     def test_direct_path_is_active(self):
         shelf = DirectShelf()
-        assert getattr(DirectShelf, "_repro_aot_plans", None)
         done = []
         t = _spawn(lambda: done.append(shelf.take(timeout=5.0)))
         time.sleep(0.05)
-        before = shelf.metrics.relay_skipped_aot
         shelf.refill(1)
         t.join(2.0)
         assert done == [0]
-        assert shelf.metrics.relay_skipped_aot > before
 
     def test_timeout_deadline_cancel_on_direct_path(self):
         shelf = DirectShelf()
