@@ -75,6 +75,8 @@ class MonitorServer:
         self._stop = False
         self.alive = False
         self._thread: Optional[threading.Thread] = None
+        #: thread id of the running server loop (see :meth:`kick`)
+        self._ident: Optional[int] = None
         self.exception_log: list[BaseException] = []
         #: §6.2.1 hook: called with (task, exception) after a task body
         #: fails; exceptions it raises are swallowed (the future already
@@ -169,20 +171,23 @@ class MonitorServer:
             if self._stop:
                 # shutdown owns the queue now; don't execute behind its back
                 return False
-            monitor._depth += 1
+            cm = monitor._cond_mgr
+            cm.depth += 1
             executed = 0
             try:
                 # snapshot read: _try_combine runs on every task submission
                 executed, completions = self._drain_batch(
                     config_snapshot().combining_batch)
             finally:
-                monitor._depth -= 1
-                monitor._generation += 1   # task bodies mutate monitor state
-                # one relay per batch: the task bodies' writes accumulated
-                # in monitor._dirty, so this flushes the *union* of the
-                # batch's dirty sets — untagged waiters are re-evaluated
-                # once per batch, not once per task
-                monitor._cond_mgr.relay_signal()
+                cm.depth -= 1
+                # task bodies mutate monitor state: the batch ends like any
+                # section, with the exit steps and one relay.  The task
+                # bodies' writes accumulated in monitor._dirty, so the hooks
+                # see and the relay flushes the *union* of the batch's
+                # dirty sets — waiters are checked once per batch, not
+                # once per task
+                monitor._end_section()
+                cm.relay_signal()
             if executed:
                 monitor._metrics.tasks_combined += executed  # lock held
             return True
@@ -196,6 +201,8 @@ class MonitorServer:
     # ---------------------------------------------------------- server loop
     def _run(self) -> None:
         monitor = self.monitor
+        cm = monitor._cond_mgr
+        self._ident = threading.get_ident()
         try:
             while not self._stop:
                 self._wake.wait()
@@ -209,14 +216,15 @@ class MonitorServer:
                     _chaos.fire("server_loop", self)
                 completions: list = []
                 with monitor._lock:  # monlint: disable=W004 — server thread is the monitor's executor
-                    monitor._depth += 1
+                    cm.depth += 1
                     try:
                         _, completions = self._drain_batch(None)
                     finally:
-                        monitor._depth -= 1
-                        monitor._generation += 1
-                        # batch-unioned dirty flush, as in _try_combine
-                        monitor._cond_mgr.relay_signal()
+                        cm.depth -= 1
+                        # batch-unioned exit steps and relay, as in
+                        # _try_combine
+                        monitor._end_section()
+                        cm.relay_signal()
                 if completions:
                     _complete(completions)
         except BaseException as exc:  # noqa: BLE001 — thread death handler
@@ -346,6 +354,12 @@ class MonitorServer:
 
     def kick(self) -> None:
         """Wake the server to re-scan pendings (used by exit hooks after
-        synchronous state changes)."""
-        if self.pending or len(self.queue):
+        synchronous state changes).
+
+        A no-op on the server's own thread: its batch exit runs the exit
+        hooks too, and it has just re-scanned every pending task, so a
+        self-kick would only spin the loop while a pending guard stays
+        false."""
+        if (self.pending or len(self.queue)) and \
+                threading.get_ident() != self._ident:
             self._wake.set()

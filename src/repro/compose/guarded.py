@@ -59,21 +59,24 @@ class GuardedCall:
         Returns ``(True, result)`` on success, ``(False, None)`` when the
         lock was unavailable or the guard is false.
         """
-        lock = self.monitor._lock  # monlint: disable=W004 — try-lock probe, released immediately
+        monitor = self.monitor
+        lock = monitor._lock  # monlint: disable=W004 — try-lock probe, released immediately
         if not lock.acquire(blocking=False):
             return False, None
-        self.monitor._depth += 1
+        cm = monitor._cond_mgr
+        cm.depth += 1
         try:
             if not self.pre_true():
                 return False, None
             return True, self.execute()
         finally:
-            self.monitor._depth -= 1
-            if self.monitor._depth == 0:
-                for hook in self.monitor._exit_hooks:
-                    hook(self.monitor)
-                self.monitor._cond_mgr.relay_signal()
-            lock.release()
+            cm.depth -= 1
+            try:
+                if cm.depth == 0:
+                    monitor._end_section()
+                    cm.relay_signal()
+            finally:
+                lock.release()
 
     def __repr__(self):
         return f"<GuardedCall {self.name} on #{self.monitor.monitor_id}>"

@@ -95,6 +95,15 @@ class ConditionManager:
         self.lock = lock
         self.metrics = metrics
         self.mode = mode
+        #: the monitor's section counters, kept here rather than on the
+        #: monitor so that writing them never runs ``Monitor.__setattr__``'s
+        #: write tracking.  ``depth`` is the owning thread's reentrancy
+        #: depth; ``generation`` is bumped by every lock release that ends a
+        #: section (``Monitor._end_section``), and global-predicate waiters
+        #: memoize atom values against it (§4.2).  Both are written only
+        #: with the monitor lock held.
+        self.depth = 0
+        self.generation = 0
         self.waiters: list[Waiter] = []     # insertion order (autosynch_t scan)
         self.index = TagIndex()             # tag structures (autosynch)
         self._broadcast_cv = threading.Condition(lock)  # baseline mode

@@ -142,13 +142,8 @@ class Monitor(metaclass=MonitorMeta):
             raise MonitorError(f"unknown signaling mode {signaling!r}")
         self._monitor_id = next_monitor_id()
         self._lock = threading.RLock()
-        self._depth = 0          # reentrancy depth for the owning thread
-        #: monotonic state-change stamp: bumped on every monitor exit (and
-        #: by the ActiveMonitor server's batch paths, which bypass
-        #: ``_monitor_exit``).  Global-predicate waiters memoize atom values
-        #: against it to skip re-evaluation when nothing changed (§4.2).
-        self._generation = 0
         self._metrics = Metrics()
+        #: also holds the section counters (``depth``, ``generation``)
         self._cond_mgr = ConditionManager(self, self._lock, self._metrics, signaling)
         #: poisoning (docs/robustness.md): the exception that broke this
         #: monitor, or None while healthy.  Read racily on the enter fast
@@ -213,6 +208,11 @@ class Monitor(metaclass=MonitorMeta):
     def metrics(self) -> Metrics:
         return self._metrics
 
+    @property
+    def _generation(self) -> int:
+        """Read-only diagnostic view of the section generation (racy)."""
+        return self._cond_mgr.generation
+
     # ------------------------------------------------------- section control
     def _monitor_enter(self) -> None:
         if _monlint.enabled:
@@ -220,19 +220,20 @@ class Monitor(metaclass=MonitorMeta):
             _monlint.on_acquire(self)
         if _chaos.enabled:
             _chaos.fire("monitor_enter", self)
+        cm = self._cond_mgr
         # fast path: no allocation, one snapshot read; a PhaseTimer exists
         # only when phase timing is actually on
-        if self._depth == 0 and config_snapshot().phase_timing:
+        if cm.depth == 0 and config_snapshot().phase_timing:
             with PhaseTimer(self._metrics, "lock_time"):
                 self._lock.acquire()
         else:
             self._lock.acquire()
-        self._depth += 1
+        cm.depth += 1
         # Checked *after* acquiring so a thread already queued on the lock
         # when the monitor breaks also fails fast; one load + branch.
         broken = self._broken
         if broken is not None:
-            self._depth -= 1
+            cm.depth -= 1
             if _monlint.enabled:
                 _monlint.on_release(self)  # keep lock-order tracking balanced
             self._lock.release()
@@ -241,16 +242,13 @@ class Monitor(metaclass=MonitorMeta):
     def _monitor_exit(self) -> None:
         if _monlint.enabled:
             _monlint.on_release(self)
-        self._depth -= 1
-        # conservative: every exit may have changed state; the bump happens
-        # before the lock release so a waiter sampling generations under the
-        # locks can never miss a mutation
-        self._generation += 1
-        if self._depth == 0:
+        cm = self._cond_mgr
+        depth = cm.depth - 1
+        cm.depth = depth
+        if depth == 0:
             try:
-                for hook in self._exit_hooks:
-                    hook(self)
-                self._cond_mgr.relay_signal()
+                self._end_section()
+                cm.relay_signal()
             finally:
                 self._lock.release()
             # fires outside the lock: a kill injected here cannot wedge the
@@ -260,11 +258,29 @@ class Monitor(metaclass=MonitorMeta):
         else:
             self._lock.release()
 
+    def _end_section(self) -> None:
+        """The exit steps: bump the generation, then run the exit hooks.
+
+        Every lock release that ends a section takes these steps, with the
+        lock still held, right before its relay: ``_monitor_exit``, a
+        park in :meth:`wait_until` (its relay is ``wait_blocking``'s first
+        act), the server's two batch exits and
+        ``GuardedCall.try_execute``.  Multisynch's release loops inline the
+        same steps.  The bump comes before the release, so a waiter
+        sampling generations under the lock never misses a mutation.  A
+        release that skips these steps loses wakeups: no exit hook sees the
+        section's writes, and a global waiter's memo keeps a stale value
+        (docs/robustness.md).
+        """
+        self._cond_mgr.generation += 1
+        for hook in self._exit_hooks:
+            hook(self)
+
     def _owned(self) -> bool:
         # RLock exposes no owner query; acquire(blocking=False) would be
         # racy.  Track depth instead: depth>0 while some thread is inside,
         # and only the owner can observe its own depth consistently.
-        return self._depth > 0
+        return self._cond_mgr.depth > 0
 
     # -------------------------------------------------------------- waituntil
     @unmonitored
@@ -287,7 +303,8 @@ class Monitor(metaclass=MonitorMeta):
         the relay rule after deregistering (see
         ``ConditionManager.wait_blocking`` and docs/robustness.md).
         """
-        if self._depth <= 0:
+        cm = self._cond_mgr
+        if cm.depth <= 0:
             raise NotOwnerError("wait_until called outside a monitor method")
         predicate = condition if isinstance(condition, Predicate) else Predicate(condition)
         if _monlint.enabled:
@@ -313,19 +330,22 @@ class Monitor(metaclass=MonitorMeta):
         # section owns every monitor the condition reads.  Blocking waits on
         # conditions spanning the enclosing section must go through
         # ``Multisynch.wait_until`` instead.
-        if self._depth > 1:
+        if cm.depth > 1:
             raise MonitorError(
                 "a blocking wait_until inside a nested monitor call would "
                 "deadlock; use multisynch(...).wait_until for conditions "
                 "spanning an enclosing section"
             )
-        saved_depth = self._depth
-        self._depth = 0  # we are not an active holder while parked
+        # The park releases the lock, so it ends the section's writes like
+        # an exit does: the exit steps run before wait_blocking's relay
+        # flushes the dirty set.
+        self._end_section()
+        cm.depth = 0  # we are not an active holder while parked
         try:
-            self._cond_mgr.wait_blocking(
+            cm.wait_blocking(
                 predicate, timeout=timeout, deadline=deadline, cancel=cancel)
         finally:
-            self._depth = saved_depth
+            cm.depth = 1
 
     # -------------------------------------------------------------- poisoning
     @property
@@ -384,7 +404,7 @@ class Monitor(metaclass=MonitorMeta):
     def signal_hint(self) -> None:
         """Explicitly run the relay rule now (rarely needed; the framework
         runs it on every monitor exit and before every wait)."""
-        if self._depth <= 0:
+        if self._cond_mgr.depth <= 0:
             raise NotOwnerError("signal_hint called outside a monitor method")
         self._cond_mgr.relay_signal()
 

@@ -156,7 +156,11 @@ class GAnd(GlobalNode):
         self.children = tuple(flat)
 
     def evaluate(self) -> bool:
-        return all(c.evaluate() for c in self.children)
+        # a plain loop, not all(genexpr): every global wait starts here
+        for c in self.children:
+            if not c.evaluate():
+                return False
+        return True
 
     def monitors(self) -> frozenset[Monitor]:
         return frozenset().union(*(c.monitors() for c in self.children))
@@ -183,7 +187,10 @@ class GOr(GlobalNode):
         self.children = tuple(flat)
 
     def evaluate(self) -> bool:
-        return any(c.evaluate() for c in self.children)
+        for c in self.children:
+            if c.evaluate():
+                return True
+        return False
 
     def monitors(self) -> frozenset[Monitor]:
         return frozenset().union(*(c.monitors() for c in self.children))
@@ -202,12 +209,14 @@ class GOr(GlobalNode):
 class GenerationEvaluator:
     """Memoizing evaluator for one thread's global-predicate wait loop.
 
-    Every :class:`~repro.core.monitor.Monitor` carries a ``_generation``
-    counter bumped on each monitor exit (including the ActiveMonitor
-    server's batch paths).  While this thread was parked, an atom's last
-    value remains valid as long as every involved monitor's generation is
-    unchanged — any mutation by another thread happens inside a monitor
-    section whose exit bumps the counter *before* releasing the lock.  So a
+    Every :class:`~repro.core.monitor.Monitor` carries a generation
+    counter (on its condition manager) bumped by every lock release that
+    ends a section (``Monitor._end_section``: exits, parks, the
+    ActiveMonitor server's batch exits, composition operands).  While this
+    thread was parked, an atom's last value remains valid as long as every
+    involved monitor's generation is unchanged — any mutation by another
+    thread happens inside a monitor section whose release bumps the counter
+    *before* releasing the lock.  So a
     wakeup re-evaluates only the atoms whose monitors actually moved, and
     when nothing moved the whole evaluation is served from the memo.
 
@@ -274,13 +283,13 @@ class GenerationEvaluator:
                     stamp += gens.get(name, 0)
                 span = 0
             else:
-                stamp = monitor._generation
+                stamp = monitor._cond_mgr.generation
                 span = 1
         else:
             stamp = 0
             span = 0
             for m in node.monitors():
-                stamp += m._generation
+                stamp += m._cond_mgr.generation
                 span += 1
         memo = self._memo.get(id(node))
         if (memo is not None and memo[0] == stamp
@@ -296,7 +305,7 @@ class GenerationEvaluator:
         """Fold the caller's imminent release into the memoized stamps.
 
         Generation-stamped entries gain one bump per monitor the atom spans
-        (every ``_monitor_exit`` bumps ``_generation``); var-stamped entries
+        (releasing a monitor bumps its generation once); var-stamped entries
         gain one bump per read variable the caller's own section dirtied
         (the release's relay flush bumps exactly those).  Call right before
         releasing all locks on the way into a park."""

@@ -1,12 +1,20 @@
 """Per-monitor registry of global-condition waiters + the signaling rule.
 
-Each monitor keeps a list of all related global conditions (Algorithm 4's
-table).  The manager installs an exit hook on every involved monitor; the
-hook runs while the exiting thread still holds that monitor's lock, asks
-each registered waiter's strategy whether to wake (AS / AV / CC), and
-signals at most the waiters whose check passes.  Evaluations that come back
-false are counted as *false evaluations* only on the waiter side (a wakeup
-whose full predicate re-check fails), which is the quantity Fig. 4.8 plots.
+Each monitor keeps two tables of global waiters.  The *check table* is
+Algorithm 4's: the waiters an exit of the monitor must check.  Under CC it
+holds only the waiters whose current critical clause has a local clause on
+the monitor (Prop. 5: only an exit of a clause monitor can make the clause
+true); under AS and AV it holds every waiter whose predicate involves the
+monitor.  The *involved table* holds every waiter whose predicate involves
+the monitor, whatever the strategy: poisoning wakes them all, and the
+Inspector counts them.
+
+The manager installs an exit hook on every involved monitor; the hook runs
+while the exiting thread still holds that monitor's lock, asks each waiter
+in the check table whether to wake (AS / AV / CC), and signals at most the
+waiters whose check passes.  Evaluations that come back false are counted
+as *false evaluations* only on the waiter side (a wakeup whose full
+predicate re-check fails), which is the quantity Fig. 4.8 plots.
 """
 
 from __future__ import annotations
@@ -21,14 +29,17 @@ from repro.runtime.metrics import Metrics
 global_condition_metrics = Metrics()
 
 _HOOK_ATTR = "_repro_global_hook_installed"
+#: the involved table: every waiter whose predicate involves the monitor
 _TABLE_ATTR = "_repro_global_waiters"
+#: the check table: the waiters an exit of the monitor checks
+_CHECK_ATTR = "_repro_global_checks"
 
 
-def _table(monitor: Monitor) -> list[GlobalWaiter]:
-    table = getattr(monitor, _TABLE_ATTR, None)
+def _table(monitor: Monitor, attr: str) -> list[GlobalWaiter]:
+    table = getattr(monitor, attr, None)
     if table is None:
         table = []
-        setattr(monitor, _TABLE_ATTR, table)
+        setattr(monitor, attr, table)
     return table
 
 
@@ -50,14 +61,16 @@ def _on_monitor_exit(monitor: Monitor) -> None:
     check — under AS this eliminates the wakeup (and its false evaluation)
     outright.
     """
-    table = getattr(monitor, _TABLE_ATTR, None)
+    table = getattr(monitor, _CHECK_ATTR, None)
     if not table:
         return
     m = global_condition_metrics
     me = threading.get_ident()
     dirty = monitor._dirty
     track = config_snapshot().track_dependencies
-    for waiter in list(table):
+    # no copy: the tables change only under every involved lock, and this
+    # hook holds the monitor's
+    for waiter in table:
         if waiter.owner == me:
             # a thread releasing its own locks on the way into a wait must
             # not signal itself (would livelock the AS strategy)
@@ -89,25 +102,35 @@ def _on_monitor_broken(monitor: Monitor) -> None:
 
 
 def register(waiter: GlobalWaiter) -> None:
-    """Install ``waiter`` on every involved monitor.
+    """Install ``waiter`` in the involved table of every involved monitor
+    and in the check table of each monitor in ``waiter.checked_on``, which
+    ``prepare`` recomputes at every park.
 
     Caller holds all involved locks (so each per-monitor table mutation is
     protected by that monitor's own lock)."""
     waiter.prepare()
     for monitor in waiter.monitors:
         _ensure_hook(monitor)
-        _table(monitor).append(waiter)
+        _table(monitor, _TABLE_ATTR).append(waiter)
+    for monitor in waiter.checked_on:
+        _table(monitor, _CHECK_ATTR).append(waiter)
+
+
+def _remove(monitor: Monitor, attr: str, waiter: GlobalWaiter) -> None:
+    table = getattr(monitor, attr, None)
+    if table is not None:
+        try:
+            table.remove(waiter)
+        except ValueError:
+            pass
 
 
 def deregister(waiter: GlobalWaiter) -> None:
     """Remove ``waiter`` from every table (caller holds all locks)."""
     for monitor in waiter.monitors:
-        table = getattr(monitor, _TABLE_ATTR, None)
-        if table is not None:
-            try:
-                table.remove(waiter)
-            except ValueError:
-                pass
+        _remove(monitor, _TABLE_ATTR, waiter)
+    for monitor in waiter.checked_on:
+        _remove(monitor, _CHECK_ATTR, waiter)
 
 
 def validate_strategy(strategy: str) -> str:

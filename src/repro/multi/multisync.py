@@ -22,11 +22,12 @@ Fast-path structure (the same monitor sets are re-acquired in loops):
 * :class:`MonitorSet` (``monitor_set(a, b)``) makes the caching explicit:
   flatten once, then ``with ms.synch():`` re-acquires the precomputed tuple
   with no argument walking at all.
-* ``wait_until`` evaluates through a
+* ``wait_until`` evaluates the condition once and returns when it holds;
+  only a wait that parks builds a
   :class:`~repro.multi.global_predicates.GenerationEvaluator`: monitors
-  are generation-stamped on every exit, so a woken waiter re-evaluates
-  only the atoms whose monitors actually changed — and skips evaluation
-  entirely when none did.
+  are generation-stamped on every section exit, so a woken waiter
+  re-evaluates only the atoms whose monitors actually changed — and skips
+  evaluation entirely when none did.
 
 Example (the paper's Fig. 1.5)::
 
@@ -208,10 +209,12 @@ class Multisynch:
     #
     # The loops below inline Monitor._monitor_enter/_monitor_exit for the
     # common configuration (monlint runtime pass off, phase timing off):
-    # acquire = lock + depth bump; release = depth drop, generation bump,
-    # exit hooks, relay signal, unlock.  Any change to the canonical methods
-    # in repro.core.monitor must be mirrored here; the guarded slow path
-    # keeps behavior identical when either instrument is enabled.
+    # acquire = lock + depth bump; release = depth drop and, at depth 0,
+    # the exit steps of Monitor._end_section (generation bump, exit hooks),
+    # relay signal, unlock.  The section counters live on the condition
+    # manager.  Any change to the canonical methods in repro.core.monitor
+    # must be mirrored here; the guarded slow path keeps behavior identical
+    # when either instrument is enabled.
     def _acquire_all(self) -> None:
         """Re-acquire every lock (wait-loop path) — deliberately infallible.
 
@@ -232,11 +235,11 @@ class Multisynch:
                     if _monlint.enabled:
                         _monlint.on_acquire(m)
                     m._lock.acquire()  # monlint: disable=W004
-                    m._depth += 1
+                    m._cond_mgr.depth += 1
         else:
             for m in self.monitors:
                 m._lock.acquire()  # monlint: disable=W004
-                m._depth += 1
+                m._cond_mgr.depth += 1
         self._held = True
 
     def _release_all(self) -> None:
@@ -246,18 +249,18 @@ class Multisynch:
                 m._monitor_exit()
             return
         for m in self._rev:
-            depth = m._depth - 1
-            m._depth = depth
-            # bump before the lock release so waiters sampling generations
-            # under the locks never miss a mutation
-            m._generation += 1
+            cm = m._cond_mgr
+            depth = cm.depth - 1
+            cm.depth = depth
             if depth == 0:
                 try:
+                    # bump before the lock release so waiters sampling
+                    # generations under the locks never miss a mutation
+                    cm.generation += 1
                     hooks = m._exit_hooks
                     if hooks:
                         for hook in hooks:
                             hook(m)
-                    cm = m._cond_mgr
                     # _dirty forces the call even with nobody waiting: the
                     # relay flush is what advances per-variable write
                     # generations, and memoized values are revalidated
@@ -295,14 +298,14 @@ class Multisynch:
         else:
             for idx, m in enumerate(monitors):
                 m._lock.acquire()  # monlint: disable=W004
-                m._depth += 1
+                m._cond_mgr.depth += 1
                 broken = m._broken
                 if broken is not None:
                     # raw unwind: nothing was mutated, so no generation
                     # bump, hooks, or relay — just undo the acquisitions
                     for j in range(idx, -1, -1):
                         mm = monitors[j]
-                        mm._depth -= 1
+                        mm._cond_mgr.depth -= 1
                         mm._lock.release()  # monlint: disable=W004
                     _active.block = None
                     raise BrokenMonitorError(f"{m!r} is broken", broken)
@@ -318,16 +321,16 @@ class Multisynch:
                     m._monitor_exit()
                 return
             for m in self._rev:
-                depth = m._depth - 1
-                m._depth = depth
-                m._generation += 1
+                cm = m._cond_mgr
+                depth = cm.depth - 1
+                cm.depth = depth
                 if depth == 0:
                     try:
+                        cm.generation += 1
                         hooks = m._exit_hooks
                         if hooks:
                             for hook in hooks:
                                 hook(m)
-                        cm = m._cond_mgr
                         # _dirty: flush write generations even when nobody
                         # waits locally (see _release_all)
                         if cm.waiters or m._dirty or cm.mode == "baseline":
@@ -373,6 +376,12 @@ class Multisynch:
                 f"global predicate involves monitors {missing} not held by "
                 "this multisynch block"
             )
+        # Evaluate first: almost every wait is true on entry, and the memo
+        # pays only after a wakeup, so the evaluator is built on the way to
+        # a park.  Its first evaluation runs under the same held locks, so
+        # it repeats this one (atoms are pure, Def. 2) and stamps the memo.
+        if condition.evaluate():
+            return
         gm = manager.global_condition_metrics
         evaluator = GenerationEvaluator(condition, gm)
         if evaluator.evaluate():

@@ -17,6 +17,7 @@ configured strategy decides whether to wake the waiter:
   C = ∨ Cᵢ (Algorithm 3) and installs the per-monitor local clauses; on
   exit of Mᵢ the exiting thread evaluates only Cᵢ — a pure disjunction of
   Mᵢ-local atoms — and signals when it is true (Algorithm 4, Prop. 5).
+  Only the monitors with a local clause check the waiter on exit.
 
 Complex atoms are handled conservatively in AV and CC: any exit of a
 related monitor counts as potentially-true (§4.2.4).
@@ -48,8 +49,8 @@ class GlobalWaiter:
     """One thread blocked on one global condition."""
 
     __slots__ = ("predicate", "strategy", "event", "monitors",
-                 "cells", "mirror", "local_clauses", "signaled", "owner",
-                 "reads_by_monitor")
+                 "cells", "mirror", "local_clauses", "checked_on",
+                 "signaled", "owner", "reads_by_monitor")
 
     def __init__(self, predicate: GlobalNode, strategy: str):
         self.predicate = predicate
@@ -62,6 +63,9 @@ class GlobalWaiter:
         self.mirror: Optional["_MirrorNode"] = None
         #: CC state: monitor -> list of atoms (the local clause Cᵢ)
         self.local_clauses: dict[Monitor, list[GlobalAtom]] = {}
+        #: the monitors whose exits check this waiter (set by ``prepare``):
+        #: the clause monitors under CC, every involved monitor otherwise
+        self.checked_on: list[Monitor] = []
         self.signaled = False
         #: monitor -> union of the read sets of atoms involving it, or None
         #: when some such atom is opaque/complex.  The manager's exit hook
@@ -84,12 +88,15 @@ class GlobalWaiter:
         """Build the strategy's bookkeeping from the current (false) state."""
         self.event.clear()
         self.signaled = False
+        if self.strategy == "CC":
+            clause = compute_critical(self.predicate)
+            self.local_clauses = group_by_monitor(clause)
+            self.checked_on = list(self.local_clauses)
+            return
         if self.strategy == "AV":
             self.mirror = _build_mirror(self.predicate, self)
             self._refresh_all_cells()
-        elif self.strategy == "CC":
-            clause = compute_critical(self.predicate)
-            self.local_clauses = group_by_monitor(clause)
+        self.checked_on = self.monitors
 
     def _refresh_all_cells(self) -> None:
         for atom in self.predicate.atoms():
@@ -109,11 +116,9 @@ class GlobalWaiter:
                 elif isinstance(atom, ComplexPredicate) and monitor in atom.monitors():
                     self.cells[id(atom)] = True  # conservative (§4.2.4)
             return self.mirror.evaluate() if self.mirror is not None else False
-        # CC: evaluate only this monitor's local critical clause Cᵢ
-        clause = self.local_clauses.get(monitor)
-        if not clause:
-            return False
-        for atom in clause:
+        # CC: evaluate only this monitor's local critical clause Cᵢ (only
+        # clause monitors check a CC waiter)
+        for atom in self.local_clauses[monitor]:
             if isinstance(atom, ComplexPredicate):
                 return True  # conservative
             if atom.evaluate():

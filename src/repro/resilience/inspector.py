@@ -381,7 +381,7 @@ class Inspector:
             monitor_class=type(m).__name__,
             generation=snap.generation,
             quiet_seconds=quiet,
-            depth=getattr(m, "_depth", 0),
+            depth=getattr(getattr(m, "_cond_mgr", None), "depth", 0),
             broken=getattr(m, "_broken", None) is not None,
             waiters=[desc for _, _, desc in snap.waiters],
             global_waiters=snap.global_waiters,

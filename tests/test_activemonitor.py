@@ -174,6 +174,35 @@ class TestModes:
         assert box.take() == 2
 
 
+class TestServerBatchExit:
+    def test_pending_guard_does_not_spin_the_server(self):
+        """The server's batch exit runs the exit hooks, the monitor's own
+        kick among them.  Kicked from the server's own thread it would wake
+        the server again at once, spinning it while a pending task's guard
+        stays false."""
+        b = Box(capacity=1)
+        try:
+            b.put(1)
+            b.flush()
+            server = b.server
+            drain = server._drain_batch
+            drains = [0]
+
+            def counting(limit):
+                drains[0] += 1
+                return drain(limit)
+
+            server._drain_batch = counting
+            blocked = b.put(2)            # guard false: stays pending
+            time.sleep(0.2)
+            assert drains[0] < 10
+            assert b.take() == 1          # the exit kicks the server
+            blocked.get(timeout=5)
+            assert b.take() == 2
+        finally:
+            b.shutdown()
+
+
 class TestExceptions:
     def test_async_exception_delivered_via_future(self, box):
         future = box.explode()

@@ -106,6 +106,39 @@ class TestSynchronousOr:
         t.join(10)
         assert result == [(1, "late")]
 
+    def test_operand_exit_reaches_a_parked_selector(self):
+        """A composition operand's exit bumps the generation: the selector
+        it signals must not re-read a stale memo of its opaque guard atom
+        and park again."""
+        a, b = _slots(2, mode="sync")
+        result = []
+
+        def selector():
+            result.append(or_(bind(a.take), bind(b.take)))
+
+        t = threading.Thread(target=selector, daemon=True)
+        t.start()
+        deadline = time.monotonic() + 5
+        while not getattr(a, "_repro_global_waiters", None):
+            assert time.monotonic() < deadline, "selector never parked"
+            time.sleep(0.001)
+        # wait for the selector to release both locks, without running a
+        # section (whose exit would itself refresh the generations)
+        for m in (a, b):
+            while not m._lock.acquire(blocking=False):
+                assert time.monotonic() < deadline, "selector never parked"
+                time.sleep(0.001)
+            m._lock.release()
+        try:
+            or_(bind(b.put, "late"))   # runs through GuardedCall.try_execute
+            t.join(3)
+            assert not t.is_alive(), "the operand's exit was lost"
+            assert result == [(1, "late")]
+        finally:
+            if t.is_alive():
+                a.put("unblock")
+            t.join(2)
+
     def test_select_one_over_collection(self):
         slots = _slots(5, mode="sync")
         slots[3].put("here")

@@ -1,6 +1,8 @@
 """Integration tests for multisynch and global-condition waiting."""
 
+import os
 import random
+import sys
 import threading
 import time
 
@@ -10,14 +12,28 @@ from repro.core import Monitor, S
 from repro.multi import (
     complex_pred,
     current_multisynch,
+    global_condition_metrics,
     local,
+    manager,
     monitor_set,
     multisynch,
 )
+from repro.multi import multisync as msmod
+from repro.problems.bounded_buffer import ActiveBoundedQueue
+from repro.problems.pizza_store import (
+    CAPACITY,
+    N_INGREDIENTS,
+    RESTOCK,
+    MonitorStore,
+    make_recipes,
+)
+from repro.resilience import CancelToken
 from repro.runtime.errors import (
+    BrokenMonitorError,
     MonitorError,
     NestedMultisynchError,
     PredicateError,
+    WaitCancelledError,
 )
 
 
@@ -370,3 +386,303 @@ class TestGenerationSkip:
         t.join(5)
         # b never changed after the initial evaluation: exactly one call
         assert counts["b"] == 1
+
+
+class XY(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.x = 0
+        self.y = 0
+        self.go = False
+
+    def set_x(self, v):
+        self.x = v
+
+    def set_y(self, v):
+        self.y = v
+
+    def write_x_then_park(self):
+        self.x = 1
+        self.wait_until(S.go == True)  # noqa: E712 — DSL comparison
+
+    def release(self):
+        self.go = True
+
+
+def _park_global_waiter(monitors, condition, strategy="CC"):
+    """Start a thread parked in a global wait; return (thread, outcome,
+    token).  Returns once the waiter is registered and has released every
+    lock."""
+    token = CancelToken()
+    outcome: list = []
+
+    def run():
+        try:
+            with multisynch(monitors, strategy=strategy) as ms:
+                ms.wait_until(condition, cancel=token)
+            outcome.append("returned")
+        except BaseException as exc:  # noqa: BLE001 — reported by the test
+            outcome.append(exc)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    deadline = time.monotonic() + 5
+    while not getattr(monitors[0], manager._TABLE_ATTR, None):
+        assert time.monotonic() < deadline, "global waiter never registered"
+        time.sleep(0.001)
+    # wait for the release without running a section of our own
+    for m in monitors:
+        while not m._lock.acquire(blocking=False):
+            assert time.monotonic() < deadline, "global waiter never parked"
+            time.sleep(0.001)
+        m._lock.release()
+    return t, outcome, token
+
+
+class TestExitStepsReachGlobalWaiters:
+    """Every lock release that ends a section bumps the generation and runs
+    the exit hooks; each test here is a wakeup that was lost without that."""
+
+    @pytest.mark.parametrize("strategy", ["AS", "AV", "CC"])
+    def test_write_then_park_signals_global_waiter(self, strategy):
+        a, other = XY(), XY()
+        t, outcome, token = _park_global_waiter(
+            [a, other], local(a, S.x > 0) & local(other, S.x == 0), strategy)
+        writer = threading.Thread(target=a.write_x_then_park, daemon=True)
+        try:
+            writer.start()
+            t.join(2)
+            assert not t.is_alive(), "a write followed by a park was lost"
+            assert outcome == ["returned"]
+        finally:
+            token.cancel()
+            a.release()
+            t.join(2)
+            writer.join(2)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("path", ["combiner", "server"])
+    def test_delegated_write_signals_global_waiter(self, path):
+        q = ActiveBoundedQueue(4, mode="async")
+        other = ActiveBoundedQueue(4, mode="async")
+        t, outcome, token = _park_global_waiter(
+            [q, other], local(q, S.count > 0) & local(other, S.count == 0))
+        holder = None
+        try:
+            if path == "server":
+                # while another thread holds q, the submitter cannot
+                # combine, so the server thread runs the task
+                hold, held = threading.Event(), threading.Event()
+
+                def hold_q():
+                    with multisynch(q):
+                        held.set()
+                        hold.wait(5)
+
+                holder = threading.Thread(target=hold_q, daemon=True)
+                holder.start()
+                assert held.wait(5)
+                future = q.put(1)
+                hold.set()
+            else:
+                future = q.put(1)
+            future.get(timeout=2)
+            t.join(2)
+            assert not t.is_alive(), "a delegated write was lost"
+            assert outcome == ["returned"]
+        finally:
+            token.cancel()
+            t.join(2)
+            if holder is not None:
+                holder.join(2)
+            q.shutdown()
+            other.shutdown()
+
+
+class TestSectionCounters:
+    def test_block_cycle_writes_only_public_names(self, monkeypatch):
+        """The section counters live off ``Monitor.__setattr__``: a block
+        cycle with a wait true on entry and three nested writes passes
+        only the three public names through it."""
+        a, b, c = Account(), Account(), Account()
+        condition = (local(a, S.balance >= 0) & local(b, S.balance >= 0)
+                     & local(c, S.balance >= 0))
+        names = []
+        original = Monitor.__setattr__
+
+        def spy(self, name, value):
+            names.append(name)
+            original(self, name, value)
+
+        monkeypatch.setattr(Monitor, "__setattr__", spy)
+        with multisynch(a, b, c) as ms:
+            ms.wait_until(condition)
+            a.deposit(1)
+            b.deposit(1)
+            c.deposit(1)
+        monkeypatch.undo()
+        assert names == ["balance"] * 3
+
+
+class TestClauseOnlyChecks:
+    """Under CC an exit checks only the waiters whose critical clause has a
+    local clause on the exiting monitor (Algorithm 4's table)."""
+
+    def test_exits_off_the_clause_cost_no_checks(self):
+        a, b = XY(), XY()
+        # both atoms false: Algorithm 3 picks the first, so the clause is
+        # local(a, x > 0) and only exits of a check the waiter
+        t, outcome, token = _park_global_waiter(
+            [a, b], local(a, S.x > 0) & local(b, S.y > 0))
+        try:
+            before = global_condition_metrics.predicate_evals
+            for i in range(100):
+                b.set_y(i + 1)
+            assert global_condition_metrics.predicate_evals == before
+            signals = global_condition_metrics.signals
+            a.set_x(1)          # makes the clause (and the predicate) true
+            assert global_condition_metrics.signals == signals + 1
+            t.join(5)
+            assert not t.is_alive()
+            assert outcome == ["returned"]
+        finally:
+            token.cancel()
+            t.join(2)
+
+    def test_poisoning_an_off_clause_monitor_wakes_the_waiter(self):
+        a, b = XY(), XY()
+        t, outcome, token = _park_global_waiter(
+            [a, b], local(a, S.x > 0) & local(b, S.y > 0))
+        try:
+            b.mark_broken(RuntimeError("corrupt"))
+            t.join(5)
+            assert not t.is_alive()
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], BrokenMonitorError)
+        finally:
+            token.cancel()
+            t.join(2)
+
+
+class TestEvaluateFirst:
+    def test_only_a_parking_wait_builds_an_evaluator(self, monkeypatch):
+        built = []
+
+        class Counting(msmod.GenerationEvaluator):
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(msmod, "GenerationEvaluator", Counting)
+        a = Account(1)
+        with multisynch(a) as ms:
+            ms.wait_until(local(a, S.balance > 0))
+        assert built == []
+
+        b = Account(0)
+        t, outcome, token = _park_global_waiter([b], local(b, S.balance > 0))
+        try:
+            b.deposit(1)
+            t.join(5)
+            assert outcome == ["returned"]
+        finally:
+            token.cancel()
+            t.join(2)
+        assert len(built) == 1
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("strategy", ["AS", "AV", "CC"])
+def test_pizza_store_stress(strategy):
+    """Cooks, suppliers and parked bystanders on one store, more threads
+    than cores, switching every 10 us: stock is conserved and every thread
+    finishes."""
+    store = MonitorStore(strategy)
+    ings = store.ingredients
+    recipes = make_recipes(3)
+    n_suppliers, n_bystanders = 2, 4
+    # more threads than cores, whatever the host
+    n_cooks = max(4, (os.cpu_count() or 2) + 1 - n_suppliers - n_bystanders)
+    consumed = [[0] * N_INGREDIENTS for _ in range(n_cooks)]
+    supplied = [[0] * N_INGREDIENTS for _ in range(n_suppliers)]
+    stop, suppliers_stop = threading.Event(), threading.Event()
+    abort = CancelToken()      # unblocks a stuck cook on failure only
+    tokens = [CancelToken() for _ in range(n_bystanders)]
+    outcomes: list = []
+    errors: list = []
+
+    def cook(k):
+        rng = random.Random(k)
+        try:
+            while not stop.is_set():
+                recipe = recipes[rng.randrange(len(recipes))]
+                store.cook_until(recipe, cancel=abort)
+                for i, n in recipe.items():
+                    consumed[k][i] += n
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    def supplier(k):
+        i = k
+        while not suppliers_stop.is_set():
+            ing = ings[i % N_INGREDIENTS]
+            with multisynch(ing):
+                add = min(RESTOCK, CAPACITY - ing.quantity)
+                if add:
+                    ing.produce(add)
+            supplied[k][i % N_INGREDIENTS] += add
+            if not add:
+                time.sleep(0.0005)
+            i += 1
+
+    def bystander(a, b, token):
+        never = (local(a, S.quantity > CAPACITY)
+                 & local(b, S.quantity > CAPACITY))
+        try:
+            with multisynch(a, b, strategy=strategy) as ms:
+                ms.wait_until(never, cancel=token)
+            outcomes.append("returned")
+        except WaitCancelledError:
+            outcomes.append("cancelled")
+
+    rng = random.Random(5)
+    bystanders = [
+        threading.Thread(target=bystander,
+                         args=(*(ings[i] for i in rng.sample(
+                             range(N_INGREDIENTS), 2)), token), daemon=True)
+        for token in tokens]
+    cooks = [threading.Thread(target=cook, args=(k,), daemon=True)
+             for k in range(n_cooks)]
+    suppliers = [threading.Thread(target=supplier, args=(k,), daemon=True)
+                 for k in range(n_suppliers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in bystanders + cooks + suppliers:
+            t.start()
+        time.sleep(0.5)
+        stop.set()
+        for t in cooks:
+            t.join(10)
+        suppliers_stop.set()
+        for t in suppliers:
+            t.join(10)
+        for token in tokens:
+            token.cancel()
+        for t in bystanders:
+            t.join(10)
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+        suppliers_stop.set()
+        abort.cancel()
+        for token in tokens:
+            token.cancel()
+    alive = [t.name for t in bystanders + cooks + suppliers if t.is_alive()]
+    assert alive == []
+    assert errors == []
+    assert outcomes == ["cancelled"] * n_bystanders
+    for i, ing in enumerate(ings):
+        want = (sum(s[i] for s in supplied) - sum(c[i] for c in consumed))
+        assert ing.quantity == want
+        assert 0 <= want <= CAPACITY
