@@ -29,7 +29,8 @@ from repro.active.futures import CompletedFuture, LightFuture
 from repro.active.policies import Policy
 from repro.active.server import MonitorServer
 from repro.active.tasks import MonitorTask
-from repro.core.monitor import Monitor, unmonitored
+from repro.analysis import runtime as _monlint
+from repro.core.monitor import _CONTROL_FLOW_EXC, Monitor, unmonitored
 from repro.core.predicates import Predicate
 from repro.runtime.config import config_snapshot
 from repro.runtime.errors import BrokenMonitorError, MonitorError, TaskQueueFull
@@ -132,10 +133,11 @@ class ActiveMonitor(Monitor):
             return self._run_sync(fn, args, kwargs, pre, wrap_future=is_async)
         if is_async:
             self._honor_rule2()
-            predicate = self._guard_predicate(pre, args, kwargs)
+            # the wrapper's args/kwargs belong to this call: the task keeps
+            # them, and the selecting thread calls pre with them
             task = MonitorTask.acquire(
-                functools.partial(fn, self), (*args,), dict(kwargs),
-                precondition=predicate, priority=priority,
+                functools.partial(fn, self), args, kwargs,
+                precondition=pre, priority=priority,
                 name=getattr(fn, "__name__", "task"), retries=retries,
             )
             # capture before submit: the pooled shell may be recycled (and
@@ -153,26 +155,31 @@ class ActiveMonitor(Monitor):
         self._monitor_enter()
         try:
             if pre is not None:
-                # monlint requires guards pure by contract (docs/analysis.md)
-                self.wait_until(lambda: pre(self, *args, **kwargs))  # monlint: disable=W001
+                # the paper's leading waituntil; monlint requires guards
+                # pure by contract (docs/analysis.md)
+                if _monlint.enabled:
+                    # keeps the runtime linter's purity probe
+                    self.wait_until(lambda: pre(self, *args, **kwargs))  # monlint: disable=W001
+                else:
+                    # in place, counted like wait_until's fast path; a
+                    # predicate is built only to park
+                    holds = pre(self, *args, **kwargs)
+                    self._metrics.predicate_evals += 1
+                    if not holds:
+                        self._park_on(Predicate(lambda: pre(self, *args, **kwargs)))
             result = fn(self, *args, **kwargs)
         except BaseException as exc:
-            if wrap_future:
-                self._monitor_exit()
-                return CompletedFuture(error=exc)
-            raise
-        finally:
+            # the plain method wrapper's rule (§6.2.1): an escaping
+            # exception may have torn the invariant
+            if (config_snapshot().poison_on_exception
+                    and not isinstance(exc, _CONTROL_FLOW_EXC)):
+                self.mark_broken(exc)
             if not wrap_future:
-                self._monitor_exit()
-        if wrap_future:
+                raise
+            return CompletedFuture(error=exc)
+        finally:
             self._monitor_exit()
-            return CompletedFuture(result)
-        return result
-
-    def _guard_predicate(self, pre, args, kwargs) -> Optional[Predicate]:
-        if pre is None:
-            return None
-        return Predicate(lambda: pre(self, *args, **kwargs))
+        return CompletedFuture(result) if wrap_future else result
 
     @unmonitored
     def submit_nowait(self, method: str, /, *args, **kwargs) -> LightFuture:
@@ -207,11 +214,9 @@ class ActiveMonitor(Monitor):
                 f"submit_nowait on {self!r} needs a live server "
                 f"(mode={self._mode!r}); use the blocking frontend instead")
         fn = wrapper.__wrapped__          # functools.wraps keeps the raw body
-        pre = wrapper._repro_guard
-        predicate = self._guard_predicate(pre, args, kwargs)
         task = MonitorTask.acquire(
-            functools.partial(fn, self), (*args,), dict(kwargs),
-            precondition=predicate,
+            functools.partial(fn, self), args, kwargs,
+            precondition=wrapper._repro_guard,
             name=getattr(fn, "__name__", "task"),
         )
         future = task.future   # capture before enqueue (pooled shell)

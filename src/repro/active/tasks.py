@@ -6,6 +6,11 @@ state change makes them executable.  Tasks carry the submitting worker's
 identity (Rule 2 program order is per-worker) and an optional priority for
 the Chapter-6 priority policy.
 
+The precondition is the method's guard as declared, a plain function
+called as ``guard(monitor, *args, **kwargs)`` with the task's own
+arguments: a submission stores it and builds no predicate object (the
+§3.3.2 aim that a submission costs only a few stores).
+
 Task shells are pooled (mirroring the core layer's ``Waiter`` pool): the
 executing server/combiner recycles a shell after collecting its future for
 completion, and :meth:`MonitorTask.acquire` re-arms a recycled shell instead
@@ -57,12 +62,25 @@ def current_worker() -> int:
     return worker if worker is not None else threading.get_ident()
 
 
+def _predicate_guard(predicate: Predicate) -> Callable[..., Any]:
+    """A :class:`Predicate` as a task guard: evaluated against the monitor
+    alone, whatever the task's arguments."""
+    evaluate = predicate.evaluate
+    return lambda monitor, *_args, **_kwargs: evaluate(monitor)
+
+
 class MonitorTask:
-    """One delegated critical-section execution request."""
+    """One delegated critical-section execution request.
+
+    ``precondition`` is ``None`` (always executable), a guard called as
+    ``guard(monitor, *args, **kwargs)``, or a :class:`Predicate`
+    evaluated against the monitor.
+    """
 
     __slots__ = (
         "precondition", "body", "args", "kwargs", "future",
         "worker_id", "seq", "priority", "name", "retries_left",
+        "guard_error",
     )
 
     def __init__(
@@ -70,15 +88,18 @@ class MonitorTask:
         body: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-        precondition: Optional[Predicate] = None,
+        precondition: Optional[Predicate | Callable[..., Any]] = None,
         priority: int = 0,
         name: str = "",
         retries: int = 0,
     ):
         self.future = LightFuture()
+        self.guard_error: Optional[Exception] = None
         self._arm(body, args, kwargs, precondition, priority, name, retries)
 
     def _arm(self, body, args, kwargs, precondition, priority, name, retries) -> None:
+        if isinstance(precondition, Predicate):
+            precondition = _predicate_guard(precondition)
         self.precondition = precondition
         self.body = body
         self.args = args
@@ -95,7 +116,7 @@ class MonitorTask:
         body: Callable[..., Any],
         args: tuple,
         kwargs: dict,
-        precondition: Optional[Predicate] = None,
+        precondition: Optional[Predicate | Callable[..., Any]] = None,
         priority: int = 0,
         name: str = "",
         retries: int = 0,
@@ -122,19 +143,40 @@ class MonitorTask:
         self.args = ()
         self.kwargs = None
         self.future = None
+        self.guard_error = None
         if len(_pool) < _POOL_CAP:
             _pool.append(self)
 
     def executable(self, monitor: Any) -> bool:
-        """Is the precondition true in the current state?"""
-        if self.precondition is None:
+        """Is the precondition true in the current state?
+
+        A guard that raises makes its task executable: :meth:`execute`
+        then fails the task with the guard's error instead of running the
+        body, so the error reaches the task's own future and neither the
+        selecting thread nor the other tasks see it.  Each evaluation
+        replaces the last one's verdict.
+        """
+        guard = self.precondition
+        if guard is None:
             return True
-        return self.precondition.evaluate(monitor)
+        try:
+            verdict = guard(monitor, *self.args, **self.kwargs)
+        except Exception as exc:  # noqa: BLE001 — delivered by execute()
+            self.guard_error = exc
+            return True
+        self.guard_error = None
+        return verdict
 
     def execute(self, monitor: Any) -> tuple[Any, Optional[BaseException]]:
         """Run the body; return ``(result, error)`` without touching the
         future — the server completes futures in batch after the combining
-        batch, outside the monitor lock (amortized wakeups)."""
+        batch, outside the monitor lock (amortized wakeups).  A guard error
+        recorded by :meth:`executable` is returned as the error, and the
+        body does not run."""
+        error = self.guard_error
+        if error is not None:
+            self.guard_error = None
+            return None, error
         _executing_worker.ident = self.worker_id
         try:
             return self.body(*self.args, **self.kwargs), None

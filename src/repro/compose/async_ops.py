@@ -20,13 +20,13 @@ executor thread and awaits the returned futures on the loop.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 from repro.active.activemonitor import ActiveMonitor
 from repro.active.futures import LightFuture
 from repro.active.tasks import MonitorTask
 from repro.compose.guarded import GuardedCall
-from repro.core.predicates import Predicate
 from repro.runtime.atomics import AtomicFlag
 from repro.runtime.errors import CompositionError
 
@@ -52,9 +52,12 @@ def _validate(calls: Sequence[GuardedCall]) -> list[GuardedCall]:
     return calls
 
 
-def _submit(call: GuardedCall, precondition, body) -> LightFuture:
-    task = MonitorTask.acquire(body, (), {}, precondition=precondition,
-                               name=call.name)
+def _submit(call: GuardedCall, guard, body) -> LightFuture:
+    """Delegate one operand as a task carrying the operand's arguments: the
+    server calls ``guard(monitor, *call.args, **call.kwargs)`` and then
+    ``body(*call.args, **call.kwargs)``."""
+    task = MonitorTask.acquire(body, call.args, call.kwargs,
+                               precondition=guard, name=call.name)
     future = task.future   # capture before submit: the shell is pooled
     call.monitor.server.submit(task)
     return future
@@ -73,14 +76,8 @@ def submit_select_all(calls: Sequence[GuardedCall]) -> list[LightFuture]:
     """Submission half of :func:`async_select_all`: delegate every operand
     and return the per-operand futures without evaluating them."""
     calls = _validate(calls)
-    return [
-        _submit(
-            call,
-            Predicate(_guard_thunk(call)),
-            _body_thunk(call),
-        )
-        for call in calls
-    ]
+    return [_submit(call, call.pre, functools.partial(call.fn, call.monitor))
+            for call in calls]
 
 
 def async_or(*operands: GuardedCall) -> tuple[int, Any]:
@@ -99,41 +96,55 @@ def submit_select_one(calls: Sequence[GuardedCall]) -> LightFuture:
     taken = AtomicFlag()
     winner_future: LightFuture = LightFuture()
 
+    def kick_others(call: GuardedCall) -> None:
+        # losers may be parked behind false guards on other servers;
+        # kick those servers so the SKIPPED drain happens promptly
+        for other in calls:
+            if other is not call and other.monitor.server is not None:
+                other.monitor.server._wake.set()
+
     def make_guard(call: GuardedCall):
         # executable once the real guard holds — or once somebody else won,
-        # so the loser task drains from the pending set as SKIPPED.
-        real = _guard_thunk(call)
-        return lambda: bool(taken) or real()
+        # so the loser task drains from the pending set as SKIPPED.  A guard
+        # that raises before anybody won ends the selection with its error
+        # (its own task fails too, and its future is dropped).
+        pre = call.pre
+        if pre is None:
+            return None
+
+        def guard(monitor, *args, **kwargs):
+            if taken:
+                return True
+            try:
+                return pre(monitor, *args, **kwargs)
+            except Exception as exc:
+                if not taken.test_and_set():
+                    winner_future.set_exception(exc)
+                    kick_others(call)
+                raise
+
+        return guard
 
     def make_body(index: int, call: GuardedCall):
-        run = _body_thunk(call)
+        run = functools.partial(call.fn, call.monitor)
 
-        def body():
+        def body(*args, **kwargs):
             if taken.test_and_set():
                 return SKIPPED
-            result = run()
+            try:
+                result = run(*args, **kwargs)
+            except BaseException as exc:
+                winner_future.set_exception(exc)
+                raise
+            finally:
+                kick_others(call)
             winner_future.set_result((index, result))
-            # losers may be parked behind false guards on other servers;
-            # kick those servers so the SKIPPED drain happens promptly
-            for other in calls:
-                if other is not call and other.monitor.server is not None:
-                    other.monitor.server._wake.set()
             return (index, result)
 
         return body
 
     for index, call in enumerate(calls):
-        _submit(call, Predicate(make_guard(call)), make_body(index, call))
+        _submit(call, make_guard(call), make_body(index, call))
     # per-task futures are dropped: results resolve via winner_future and
     # losers drain as SKIPPED
     return winner_future
-
-
-def _guard_thunk(call: GuardedCall):
-    if call.pre is None:
-        return lambda: True
-    return lambda: bool(call.pre(call.monitor, *call.args, **call.kwargs))
-
-
-def _body_thunk(call: GuardedCall):
-    return lambda: call.execute()

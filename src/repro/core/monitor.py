@@ -322,6 +322,14 @@ class Monitor(metaclass=MonitorMeta):
         self._metrics.predicate_evals += 1
         if result:
             return
+        self._park_on(predicate, timeout, deadline, cancel)
+
+    def _park_on(self, predicate: Predicate, timeout: Optional[float] = None,
+                 deadline: Optional[float] = None, cancel=None) -> None:
+        """The blocking half of :meth:`wait_until`: park until
+        ``predicate`` holds.  The caller holds the lock and has just
+        evaluated the predicate false (and counted that evaluation)."""
+        cm = self._cond_mgr
         # A waiting thread must not hold the lock reentrantly: Condition.wait
         # releases the lock exactly once, so a nested hold would deadlock.
         # Inside a nested call (e.g. a monitor method invoked under

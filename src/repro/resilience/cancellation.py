@@ -24,6 +24,7 @@ is sticky — once cancelled, every subsequent guarded wait fails immediately
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from typing import Any, Callable, Optional
@@ -157,47 +158,83 @@ class _DeadlineScheduler:
     """One shared daemon thread expiring :class:`CancelTimer` deadlines.
 
     A binary heap orders pending deadlines; the thread sleeps until the
-    earliest one (or until a new, earlier timer is armed).  Disarmed timers
-    are dropped lazily when they surface at the heap top, so ``cancel`` on
-    a handle is O(1).  The thread is started lazily on the first ``arm``
-    and never joined — it parks on a condition variable when idle.
+    earliest live one.  ``arm`` wakes it only when the new deadline comes
+    before the one it sleeps toward, so a request that arms a backstop and
+    disarms it a moment later costs the thread nothing.  ``cancel`` on a
+    handle is O(1): disarmed timers stay in the heap until they surface
+    at its top, or until ``arm`` finds the heap at twice the size it had
+    after the last compaction and drops them all.  Even when only
+    disarmed timers are left, the thread keeps the latest of their
+    deadlines as its wake time: a timer armed for later than that (the
+    common case, each backstop outliving the one before) needs no wakeup.
+    The thread is started lazily on the first ``arm`` and never joined —
+    it parks on a condition variable when idle.
     """
+
+    #: heap size below which ``arm`` never compacts
+    COMPACT_FLOOR = 64
 
     def __init__(self) -> None:
         self._cond = threading.Condition(threading.Lock())
         self._heap: list[tuple[float, int, CancelTimer]] = []
         self._tiebreak = AtomicCounter()
         self._thread: Optional[threading.Thread] = None
+        #: when the thread wakes by itself; ``arm`` notifies only for an
+        #: earlier deadline (inf: it waits for a notify)
+        self._wake_at = math.inf
+        self._compact_at = self.COMPACT_FLOOR
 
     def arm(self, token: CancelToken, delay: float, reason: Any) -> CancelTimer:
         timer = CancelTimer(token, time.monotonic() + delay, reason)
         with self._cond:
-            heapq.heappush(
-                self._heap, (timer.deadline, self._tiebreak.next(), timer))
+            heap = self._heap
+            if len(heap) >= self._compact_at:
+                heap[:] = [entry for entry in heap if not entry[2]._disarmed]
+                heapq.heapify(heap)
+                self._compact_at = max(self.COMPACT_FLOOR, 2 * len(heap))
+            heapq.heappush(heap, (timer.deadline, self._tiebreak.next(), timer))
             if self._thread is None or not self._thread.is_alive():
                 self._thread = threading.Thread(
                     target=self._run, name="repro-cancel-scheduler", daemon=True
                 )
                 self._thread.start()
-            self._cond.notify()
+            if timer.deadline < self._wake_at:
+                self._cond.notify()
         return timer
 
     def _run(self) -> None:
+        heap = self._heap
         while True:
+            due: list[CancelTimer] = []
             with self._cond:
-                while not self._heap:
-                    self._cond.wait()
-                deadline, _, timer = self._heap[0]
-                now = time.monotonic()
-                if timer._disarmed:
-                    heapq.heappop(self._heap)
-                    continue
-                if deadline > now:
-                    self._cond.wait(deadline - now)
-                    continue
-                heapq.heappop(self._heap)
+                while True:
+                    now = time.monotonic()
+                    wake_at = math.inf
+                    # pop what expired and every disarmed timer on top;
+                    # a disarmed one still leaves its deadline as a wake
+                    # time, so later arms need not notify
+                    while heap:
+                        deadline, _, timer = heap[0]
+                        if deadline <= now:
+                            heapq.heappop(heap)
+                            if not timer._disarmed:
+                                due.append(timer)
+                        elif timer._disarmed:
+                            heapq.heappop(heap)
+                            wake_at = deadline
+                        else:
+                            wake_at = deadline
+                            break
+                    if due:
+                        break
+                    self._wake_at = wake_at
+                    if wake_at == math.inf:
+                        self._cond.wait()
+                    else:
+                        self._cond.wait(wake_at - now)
             # outside the lock: cancel() runs arbitrary waker callbacks
-            timer._fire()
+            for timer in due:
+                timer._fire()
 
 
 _scheduler_instance: Optional[_DeadlineScheduler] = None

@@ -261,3 +261,182 @@ class TestPolicies:
             assert b.order == ["hi", "lo"]
         finally:
             b.shutdown()
+
+
+class _Predicates:
+    """Counts Predicate constructions while installed (monkeypatch)."""
+
+    def __init__(self, monkeypatch):
+        from repro.core.predicates import Predicate
+
+        self.built = 0
+        init = Predicate.__init__
+
+        def counting(predicate, condition):
+            self.built += 1
+            init(predicate, condition)
+
+        monkeypatch.setattr(Predicate, "__init__", counting)
+
+
+class KwBox(ActiveMonitor):
+    """Guards that read keyword-only arguments."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.items = []
+
+    @asynchronous(pre=lambda self, item, *, room: len(self.items) < room)
+    def put(self, item, *, room):
+        self.items.append(item)
+
+    @synchronous(pre=lambda self, *, at_least: len(self.items) >= at_least)
+    def take_many(self, *, at_least):
+        taken, self.items = self.items[:at_least], self.items[at_least:]
+        return taken
+
+
+class TestGuardsInPlace:
+    def test_true_guards_build_no_predicate(self, box, monkeypatch):
+        predicates = _Predicates(monkeypatch)
+        for i in range(1000):
+            box.put(i).get(timeout=5)    # guard true: combined or served
+            assert box.take() == i       # guard true: evaluated in place
+        assert predicates.built == 0
+
+    def test_a_parked_take_builds_one_predicate(self, box, monkeypatch):
+        predicates = _Predicates(monkeypatch)
+        taken = []
+        t = threading.Thread(target=lambda: taken.append(box.take()),
+                             daemon=True)
+        t.start()
+        deadline = time.monotonic() + 5
+        while box.metrics.waits < 1 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert box.metrics.waits == 1 and predicates.built == 1
+        box.put("x")
+        t.join(5)
+        assert not t.is_alive()
+        assert taken == ["x"] and predicates.built == 1
+
+    def test_keyword_arguments_reach_the_guard(self):
+        b = KwBox()
+        try:
+            b.put("a", room=1).get(timeout=5)
+            b.put("b", room=3).get(timeout=5)
+            blocked = b.put("c", room=2)          # 2 < 2: stays pending
+            time.sleep(0.05)
+            assert not blocked.done()
+            assert b.take_many(at_least=2) == ["a", "b"]
+            blocked.get(timeout=5)
+            b.submit_nowait("put", "d", room=5).get(timeout=5)
+            parked = b.submit_nowait("put", "e", room=2)
+            time.sleep(0.05)
+            assert not parked.done()
+            assert b.take_many(at_least=2) == ["c", "d"]
+            parked.get(timeout=5)
+            assert b.take_many(at_least=1) == ["e"]
+        finally:
+            b.shutdown()
+
+    def test_keyword_arguments_reach_a_parked_guard(self):
+        b = KwBox(mode="sync")
+        taken = []
+        t = threading.Thread(
+            target=lambda: taken.append(b.take_many(at_least=2)), daemon=True)
+        t.start()
+        b.put(1, room=5)
+        time.sleep(0.05)
+        assert taken == []                        # 1 item: guard still false
+        b.put(2, room=5)
+        t.join(5)
+        assert not t.is_alive() and taken == [[1, 2]]
+
+    def test_true_sync_guards_count_one_evaluation_each(self, box):
+        for i in range(box.capacity):
+            box.put(i).get(timeout=5)
+        before = box.metrics.predicate_evals
+        for i in range(box.capacity):
+            assert box.take() == i
+        assert box.metrics.predicate_evals - before == box.capacity
+
+    def test_runtime_linter_still_probes_sync_guards(self):
+        from repro.analysis import runtime as monlint_runtime
+        from repro.runtime.errors import PredicateSideEffectError
+
+        class Sneaky(ActiveMonitor):
+            def __init__(self):
+                super().__init__(mode="sync")
+                self.probe = 0
+
+            @synchronous(pre=lambda self: setattr(self, "probe", object()) or True)
+            def touch(self):
+                return "ran"
+
+        m = Sneaky()
+        assert m.touch() == "ran"                 # checker off: not probed
+        try:
+            with monlint_runtime.checking():
+                with pytest.raises(PredicateSideEffectError):
+                    m.touch()
+        finally:
+            monlint_runtime.reset()
+
+
+class RaisingGuard(ActiveMonitor):
+    """``put(0)``'s guard raises ZeroDivisionError."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.items = []
+        self.guard_threads = []
+
+    def _guard(self, v):
+        self.guard_threads.append(threading.current_thread().name)
+        return 1 / v > 0
+
+    @asynchronous(pre=lambda self, v: self._guard(v))
+    def put(self, v):
+        self.items.append(v)
+
+
+class TestRaisingGuard:
+    def _check_failed_only_its_task(self, m, failed):
+        with pytest.raises(TaskError) as info:
+            failed.get(timeout=5)
+        assert isinstance(info.value.cause, ZeroDivisionError)
+        assert m.put(1).get(timeout=5) is None     # the server carries on
+        assert m.items == [1]
+        assert m.server.alive and m.server.death_log == []
+        assert any(isinstance(e, ZeroDivisionError)
+                   for e in m.server.exception_log)
+
+    def test_on_the_combining_path(self):
+        m = RaisingGuard()
+        try:
+            failed = m.put(0)          # the submitter combines: no raise here
+            self._check_failed_only_its_task(m, failed)
+        finally:
+            m.shutdown()
+
+    def test_on_the_server_path(self):
+        m = RaisingGuard()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with m._lock:  # monlint: disable=W004 — forces the server path
+                held.set()
+                release.wait(5)
+
+        holder = threading.Thread(target=hold, daemon=True)
+        holder.start()
+        try:
+            assert held.wait(5)
+            failed = m.put(0)          # lock taken: combining fails
+            release.set()
+            holder.join(5)
+            self._check_failed_only_its_task(m, failed)
+            assert m.guard_threads[0].startswith("monitor-server-")
+        finally:
+            release.set()
+            m.shutdown()

@@ -17,9 +17,10 @@ from repro.compose import (
     or_,
     select_all,
     select_one,
+    submit_select_one,
 )
 from repro.core import Monitor
-from repro.runtime.errors import CompositionError
+from repro.runtime.errors import CompositionError, TaskError
 
 
 class Slot(ActiveMonitor):
@@ -257,6 +258,44 @@ class TestAsynchronousOps:
         a, b = AsyncSlot(mode="sync"), AsyncSlot(mode="sync")
         with pytest.raises(CompositionError):
             async_and(bind(a.put, 1), bind(b.put, 2))
+
+    def test_async_or_fails_with_a_raising_operand_guard(self):
+        class Divider(ActiveMonitor):
+            @asynchronous(pre=lambda self, v: 1 / v > 0)
+            def put(self, v):
+                return v
+
+        a, b = Divider(), AsyncSlot()
+        try:
+            b.put("block")      # b's put guard stays false
+            b.flush()
+            with pytest.raises(TaskError) as info:
+                submit_select_one([bind(a.put, 0), bind(b.put, "n")]).get(
+                    timeout=5)
+            assert isinstance(info.value.cause, ZeroDivisionError)
+            assert a.server.alive and b.item == "block"
+        finally:
+            a.shutdown()
+            b.shutdown()
+
+    def test_async_or_fails_with_the_winning_body(self):
+        class Exploder(ActiveMonitor):
+            @asynchronous()
+            def put(self, v):
+                raise RuntimeError("kaboom")
+
+        a, b = Exploder(), AsyncSlot()
+        try:
+            b.put("block")
+            b.flush()
+            with pytest.raises(TaskError) as info:
+                submit_select_one([bind(a.put, 1), bind(b.put, "n")]).get(
+                    timeout=5)
+            assert isinstance(info.value.cause, RuntimeError)
+            assert b.item == "block"
+        finally:
+            a.shutdown()
+            b.shutdown()
 
     def test_skipped_sentinel_identity(self):
         assert SKIPPED is SKIPPED

@@ -63,6 +63,42 @@ class TestMonitorTask:
         assert task.executable(FakeMonitor(ready=True))
         assert not task.executable(FakeMonitor(ready=False))
 
+    def test_plain_guard_gets_the_task_arguments(self):
+        seen = []
+
+        def guard(monitor, item, *, room):
+            seen.append((item, room))
+            return monitor.ready and item < room
+
+        task = MonitorTask(lambda item, room: item, (3,), {"room": 5},
+                           precondition=guard)
+        assert task.executable(FakeMonitor(ready=True))
+        assert not task.executable(FakeMonitor(ready=False))
+        assert seen == [(3, 5), (3, 5)]
+
+    def test_raising_guard_fails_the_task_instead_of_the_caller(self):
+        ran = []
+        state = {"boom": True}
+
+        def guard(monitor):
+            if state["boom"]:
+                raise ZeroDivisionError("guard")
+            return False
+
+        task = MonitorTask(lambda: ran.append(1), (), {}, precondition=guard)
+        assert task.executable(FakeMonitor())      # executable, to fail
+        state["boom"] = False
+        assert not task.executable(FakeMonitor())  # the latest verdict wins
+        state["boom"] = True
+        assert task.executable(FakeMonitor())
+        result, error = task.execute(FakeMonitor())
+        assert result is None and isinstance(error, ZeroDivisionError)
+        assert ran == []                           # the body never ran
+        assert task.guard_error is None
+        task.executable(FakeMonitor())
+        task.recycle()
+        assert task.precondition is None and task.guard_error is None
+
     def test_run_sets_result(self):
         task = MonitorTask(lambda x: x * 2, (21,), {})
         task.run(None)

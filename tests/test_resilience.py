@@ -12,7 +12,7 @@ import types
 
 import pytest
 
-from repro.active import ActiveMonitor, asynchronous
+from repro.active import ActiveMonitor, asynchronous, synchronous
 from repro.active.activemonitor import _outstanding
 from repro.core import Monitor, S, synchronized
 from repro.multi import complex_pred, multisynch
@@ -339,6 +339,53 @@ class TestPoisoning:
                 m.ok()
             assert isinstance(m.reset(), ValueError)
             assert m.ok().get(timeout=2.0) == 1
+        finally:
+            m.reset()
+            m.shutdown()
+
+    def test_synchronous_body_failure_poisons(self):
+        get_config().poison_on_exception = True
+
+        class Account(ActiveMonitor):
+            @synchronous(pre=lambda self: True)
+            def withdraw(self):
+                raise ValueError("overdrawn mid-update")
+
+        m = Account()
+        try:
+            with pytest.raises(ValueError):
+                m.withdraw()
+            assert m.broken and isinstance(m.broken_cause, ValueError)
+        finally:
+            m.shutdown()
+
+    def test_sync_fallback_body_failure_poisons(self):
+        get_config().poison_on_exception = True
+
+        class Worker(ActiveMonitor):
+            @asynchronous()
+            def boom(self):
+                raise ValueError("task body died")
+
+        m = Worker(mode="sync")
+        future = m.boom()            # no server: runs under the caller's lock
+        assert isinstance(future.exception(), ValueError)
+        assert m.broken and isinstance(m.broken_cause, ValueError)
+
+    def test_raising_async_guard_poisons(self):
+        get_config().poison_on_exception = True
+
+        class Worker(ActiveMonitor):
+            @asynchronous(pre=lambda self, v: 1 / v > 0)
+            def put(self, v):
+                return v
+
+        m = Worker()
+        try:
+            with pytest.raises(TaskError) as info:
+                m.put(0).get(timeout=2.0)
+            assert isinstance(info.value.cause, ZeroDivisionError)
+            assert m.broken and m.server.alive
         finally:
             m.reset()
             m.shutdown()
@@ -935,6 +982,62 @@ class TestCancelAfter:
         while not slow.cancelled() and time.monotonic() < deadline:
             time.sleep(0.01)
         assert slow.cancelled()
+
+
+class _CountingCondition(threading.Condition):
+    """Counts how often the scheduler thread returns from a wait."""
+
+    def __init__(self):
+        super().__init__(threading.Lock())
+        self.wakes = 0
+
+    def wait(self, timeout=None):
+        try:
+            return super().wait(timeout)
+        finally:
+            self.wakes += 1
+
+
+class TestDeadlineScheduler:
+    """The shared cancel scheduler wakes only for the earliest live
+    deadline, and disarmed timers do not pile up in its heap."""
+
+    def _scheduler(self):
+        from repro.resilience.cancellation import _DeadlineScheduler
+
+        sched = _DeadlineScheduler()
+        sched._cond = _CountingCondition()
+        return sched
+
+    def test_arm_then_disarm_does_not_wake_the_thread(self):
+        sched = self._scheduler()
+        for _ in range(500):
+            timer = sched.arm(CancelToken(), 10.0, "deadline")
+            time.sleep(0.0005)          # room for the thread to run
+            timer.cancel()
+        assert sched._cond.wakes < 10
+
+    def test_earlier_timer_fires_on_time_behind_a_disarmed_one(self):
+        sched = self._scheduler()
+        sched.arm(CancelToken(), 10.0, "deadline").cancel()
+        time.sleep(0.05)                # the thread sleeps toward 10 s
+        tok = CancelToken()
+        t0 = time.monotonic()
+        sched.arm(tok, 0.02, "deadline")
+        while not tok.cancelled() and time.monotonic() - t0 < 2.0:
+            time.sleep(0.002)
+        assert tok.cancelled()
+        assert time.monotonic() - t0 < 0.5
+
+    def test_heap_stays_bounded(self):
+        sched = self._scheduler()
+        peak = 0
+        for _ in range(10_000):
+            sched.arm(CancelToken(), 10.0, "deadline").cancel()
+            peak = max(peak, len(sched._heap))
+        assert peak <= 2 * sched.COMPACT_FLOOR
+        live = sched.arm(CancelToken(), 10.0, "deadline")
+        assert any(entry[2] is live for entry in sched._heap)
 
 
 def _guarded_wait(gate, tok, errs):
