@@ -69,6 +69,8 @@ def asynchronous(pre: Callable[..., Any] | None = None, priority: int = 0,
         wrapper._repro_wrapped = True  # keep MonitorMeta's hands off
         wrapper._repro_guard = pre
         wrapper._repro_async = True
+        wrapper._repro_priority = priority
+        wrapper._repro_retries = retries
         return wrapper
 
     return decorate
@@ -183,16 +185,24 @@ class ActiveMonitor(Monitor):
 
     @unmonitored
     def submit_nowait(self, method: str, /, *args, **kwargs) -> LightFuture:
-        """Delegate ``method`` without ever blocking the calling thread.
+        """Delegate ``method`` without ever parking the calling thread.
 
         The asyncio frontend's entry point (:mod:`repro.aio`): one event
         loop multiplexes thousands of logical clients, so the thread-local
         program-order bookkeeping (Rules 2/3 — one outstanding task *per OS
         thread*) is deliberately bypassed; per-client program order is the
-        caller's own ``await`` chain.  Combining is bypassed too: the
-        combiner executes task bodies on the *submitting* thread under the
-        monitor lock, which would stall the event loop.  The task is
-        enqueued nonblockingly and the server woken.
+        caller's own ``await`` chain.
+
+        A lone task runs in place: when a trylock on the monitor lock
+        succeeds, nothing is queued or pending on the server,
+        ``combining_batch >= 1`` and the guard holds, the calling thread
+        runs this one task through the server's own per-task step, and the
+        returned future is already done.  Otherwise the task is enqueued
+        nonblockingly and the server woken.  The calling thread never parks
+        on the monitor lock and never runs another caller's task; an event
+        loop thread runs at most one critical section of its own here, as
+        :meth:`AsyncMonitorClient.wait_until` does when it evaluates a
+        predicate under a trylock.
 
         Raises :class:`TaskQueueFull` when the bounded task queue is full
         (the blocking path would park; a coroutine backs off and retries),
@@ -217,16 +227,20 @@ class ActiveMonitor(Monitor):
         task = MonitorTask.acquire(
             functools.partial(fn, self), args, kwargs,
             precondition=wrapper._repro_guard,
+            priority=wrapper._repro_priority,
             name=getattr(fn, "__name__", "task"),
+            retries=wrapper._repro_retries,
         )
-        future = task.future   # capture before enqueue (pooled shell)
+        future = task.future   # capture first: the shell is pooled
+        if server._try_combine(task):
+            return future      # ran in place (a retry waits in pending)
         if not server.queue.try_put(task):
             task.recycle()
             raise TaskQueueFull(
                 f"task queue of {self!r} is full")
         if server._stop:       # same submit/stop race handling as submit()
             server.drain()
-        server._wake.set()     # wake the server thread; never combine here
+        server._wake.set()     # wake the server thread; combining was refused
         return future
 
     # ------------------------------------------------------------ order rules

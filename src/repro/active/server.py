@@ -27,7 +27,11 @@ Throughput structure of the drain path (the delegation fast path):
   instead of colliding with the executor, and per-task signaling cost is
   amortized across the batch;
 * completed task shells are recycled to the :mod:`repro.active.tasks` pool
-  (executor-only, after their future has been collected).
+  (executor-only, after their future has been collected);
+* a nonblocking submission (:meth:`ActiveMonitor.submit_nowait`) that finds
+  the lock free and the server idle runs its one task in place, through the
+  same per-task step (:meth:`MonitorServer._run_task`) and section end as a
+  combining batch, with no queue hop and no server wakeup.
 
 Shutdown is serialized with combining through the monitor lock: ``drain``
 runs under it and ``_try_combine`` re-checks ``_stop`` after acquiring, so a
@@ -158,10 +162,17 @@ class MonitorServer:
             return
         self._wake.set()
 
-    def _try_combine(self) -> bool:
+    def _try_combine(self, lone: Optional[MonitorTask] = None) -> bool:
         """Worker-side combining (§3.3.2): if the monitor lock is free, this
         worker becomes the combiner and drains up to ``combining_batch``
-        tasks before releasing — an uncontended acquisition in most cases."""
+        tasks before releasing — an uncontended acquisition in most cases.
+
+        ``lone`` is a task that is not queued yet (the nonblocking
+        submission, :meth:`ActiveMonitor.submit_nowait`).  The combiner then
+        runs that one task and nothing else, and only when nothing is queued
+        or pending, ``combining_batch >= 1`` and the task's guard holds;
+        otherwise it returns False with the task untouched, for the caller
+        to enqueue.  Either way it never parks: the lock is only tried."""
         monitor = self.monitor
         lock = monitor._lock  # monlint: disable=W004 — combiner protocol owns the lock
         if not lock.acquire(blocking=False):
@@ -171,26 +182,36 @@ class MonitorServer:
             if self._stop:
                 # shutdown owns the queue now; don't execute behind its back
                 return False
+            # snapshot read: _try_combine runs on every task submission
+            limit = config_snapshot().combining_batch
             cm = monitor._cond_mgr
             cm.depth += 1
+            ran = lone is None
             executed = 0
             try:
-                # snapshot read: _try_combine runs on every task submission
-                executed, completions = self._drain_batch(
-                    config_snapshot().combining_batch)
+                if ran:
+                    executed, completions = self._drain_batch(limit)
+                elif (limit >= 1 and not self.pending and not len(self.queue)
+                        and monitor._broken is None
+                        and lone.executable(monitor)):
+                    ran = True
+                    monitor._metrics.tasks_submitted += 1
+                    self._run_task(lone, completions)
+                    executed = 1
             finally:
                 cm.depth -= 1
-                # task bodies mutate monitor state: the batch ends like any
-                # section, with the exit steps and one relay.  The task
-                # bodies' writes accumulated in monitor._dirty, so the hooks
-                # see and the relay flushes the *union* of the batch's
-                # dirty sets — waiters are checked once per batch, not
-                # once per task
-                monitor._end_section()
-                cm.relay_signal()
+                if ran:
+                    # task bodies mutate monitor state: the batch ends like
+                    # any section, with the exit steps and one relay.  The
+                    # task bodies' writes accumulated in monitor._dirty, so
+                    # the hooks see and the relay flushes the *union* of the
+                    # batch's dirty sets — waiters are checked once per
+                    # batch, not once per task
+                    monitor._end_section()
+                    cm.relay_signal()
             if executed:
                 monitor._metrics.tasks_combined += executed  # lock held
-            return True
+            return ran
         finally:
             lock.release()
             if completions:
@@ -293,32 +314,48 @@ class MonitorServer:
             if task is None:
                 break
             pending.remove(task)
-            result, error = task.execute(monitor)
-            if error is not None:
-                self.exception_log.append(error)
-                if self.exception_handler is not None:
-                    try:
-                        self.exception_handler(task, error)
-                    except Exception:  # noqa: BLE001 — hook must not kill us
-                        pass
-                if task.retries_left > 0:
-                    task.retries_left -= 1
-                    pending.append(task)   # §6.2.1 automatic re-try
-                else:
-                    completions.append((task.future, None, error))
-                    task.recycle()
-                    # §6.2.1: a failed task body may have torn the invariant
-                    # mid-mutation, same as an escaping exception in a
-                    # synchronous critical section (retries exhaust first —
-                    # a retried task gets its chance to repair)
-                    if (config_snapshot().poison_on_exception
-                            and not isinstance(error, _NO_POISON)):
-                        monitor.mark_broken(error)
-            else:
-                completions.append((task.future, result, None))
-                task.recycle()
+            self._run_task(task, completions)
             executed += 1
+            if not pending and not len(self.queue):
+                break  # quiescent: another pass would find nothing to run
         return executed, completions
+
+    def _run_task(self, task: MonitorTask, completions: list) -> None:
+        """Run one selected task: the per-task step of every executor.
+
+        Caller holds the monitor lock, and ``task`` is in neither the queue
+        nor the pending list.  Appends ``(future, result, error)`` to
+        ``completions`` for the caller to deliver after releasing the lock.
+        A failed task is logged and handed to ``exception_handler``; with
+        retries left it goes back to the pending list (§6.2.1), otherwise
+        its future fails and, under ``poison_on_exception``, the monitor is
+        poisoned.
+        """
+        monitor = self.monitor
+        result, error = task.execute(monitor)
+        if error is None:
+            completions.append((task.future, result, None))
+            task.recycle()
+            return
+        self.exception_log.append(error)
+        if self.exception_handler is not None:
+            try:
+                self.exception_handler(task, error)
+            except Exception:  # noqa: BLE001 — hook must not kill us
+                pass
+        if task.retries_left > 0:
+            task.retries_left -= 1
+            self.pending.append(task)   # §6.2.1 automatic re-try
+            return
+        completions.append((task.future, None, error))
+        task.recycle()
+        # §6.2.1: a failed task body may have torn the invariant
+        # mid-mutation, same as an escaping exception in a synchronous
+        # critical section (retries exhaust first — a retried task gets
+        # its chance to repair)
+        if (config_snapshot().poison_on_exception
+                and not isinstance(error, _NO_POISON)):
+            monitor.mark_broken(error)
 
     def drain(self, error_factory: Optional[Callable[[], BaseException]] = None,
               ) -> int:

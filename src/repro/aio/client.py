@@ -2,7 +2,7 @@
 
 One client per (monitor, loop) pair; any number of coroutines share it.
 Everything here observes the frontend's cardinal rule — the event-loop
-thread never *blocks* on a monitor lock:
+thread never *parks* on a monitor lock:
 
 * :meth:`AsyncMonitorClient.wait_until` registers a waiterless
   :class:`~repro.core.waiter.AsyncWaiter` under the monitor lock taken
@@ -13,9 +13,12 @@ thread never *blocks* on a monitor lock:
   canceller) thread without the monitor lock, through the claim flag —
   see :meth:`ConditionManager.abandon_async`.
 * :meth:`AsyncMonitorClient.call` submits delegated methods with
-  :meth:`ActiveMonitor.submit_nowait` (nonblocking enqueue, no combining
-  on the submitting thread) and backs off with ``asyncio.sleep`` when the
-  task queue is full — awaitable backpressure instead of a parked thread.
+  :meth:`ActiveMonitor.submit_nowait` and returns the bridged future.  On
+  an idle monitor the task runs in place on the loop thread under a
+  trylock (one critical section, the caller's own), so the future is
+  already done; otherwise it is enqueued for the server.  When the task
+  queue is full, ``call`` backs off with ``asyncio.sleep`` — awaitable
+  backpressure instead of a parked thread.
 """
 
 from __future__ import annotations
@@ -201,26 +204,42 @@ class AsyncMonitorClient:
         lf = self._monitor.submit_nowait(method, *args, **kwargs)
         return as_asyncio(lf, self._running_loop())
 
-    async def call(self, method: str, /, *args, **kwargs) -> Any:
-        """Await a delegated ``@asynchronous`` method end to end.
+    def call(self, method: str, /, *args, **kwargs) -> "asyncio.Future[Any]":
+        """Submit a delegated ``@asynchronous`` method; return an awaitable
+        future of its result.
 
-        Backs off with ``asyncio.sleep`` while the task queue is full, so
-        queue pressure suspends the coroutine instead of any thread.
-        Bound the total wait with ``asyncio.wait_for`` / ``asyncio.timeout``
-        at the call site.
+        The future is the one :meth:`submit` bridges: already done when
+        the task ran in place, and then awaiting it only yields to the
+        loop once, so ``await client.call(...)`` costs no extra task.
+        Only when the task queue is full does ``call`` return a task
+        instead, one that backs off with ``asyncio.sleep`` and resubmits,
+        so queue pressure suspends the coroutine instead of any thread.
+        Bound the total wait with ``asyncio.wait_for`` at the call site.
+        ``call`` is not a coroutine function: pass its result to
+        ``asyncio.ensure_future``, not ``asyncio.create_task``.  Errors
+        found at submission (a poisoned monitor, an unknown method) raise
+        from ``call`` itself.
         """
         monitor = self._monitor
         if not isinstance(monitor, ActiveMonitor):
             raise TypeError(f"call() needs an ActiveMonitor, got {monitor!r}")
+        try:
+            return self.submit(method, *args, **kwargs)
+        except TaskQueueFull:
+            return self._running_loop().create_task(
+                self._call_after_backoff(method, args, kwargs))
+
+    async def _call_after_backoff(self, method: str, args: tuple,
+                                  kwargs: dict) -> Any:
         delay = _BACKOFF_MIN_S
         while True:
+            await asyncio.sleep(delay)
+            delay = min(delay * 2.0, _BACKOFF_MAX_S)
             try:
-                lf = monitor.submit_nowait(method, *args, **kwargs)
-                break
+                future = self.submit(method, *args, **kwargs)
             except TaskQueueFull:
-                await asyncio.sleep(delay)
-                delay = min(delay * 2.0, _BACKOFF_MAX_S)
-        return await as_asyncio(lf, self._running_loop())
+                continue
+            return await future
 
 
 # ---------------------------------------------------------------- composition

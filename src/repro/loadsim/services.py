@@ -205,11 +205,13 @@ class BufferService(Service):
                            cancel=None) -> None:
         """Coroutine request path: delegated puts, ``wait_until`` takes.
 
-        ``put`` awaits the delegated future (awaitable backpressure in
+        ``put`` awaits the delegated call (awaitable backpressure in
         :meth:`AsyncMonitorClient.call` when the task queue is full);
         ``take`` parks a waiterless waiter on ``count > 0`` and then
         consumes through the guarded ``take_async`` delegation — the
-        documented pairing for lockless-resume waits.
+        documented pairing for lockless-resume waits.  A call that ran in
+        place is awaited as is; only a queued one is bounded by the
+        request deadline through ``asyncio.wait_for``.
         """
         client = self._aio_client
         if client is None:
@@ -219,26 +221,31 @@ class BufferService(Service):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise WaitTimeoutError("put deadline expired before submit")
-            try:
-                await asyncio.wait_for(client.call("put", op[1]), remaining)
-            except asyncio.TimeoutError:
-                raise WaitTimeoutError(
-                    "put not completed within deadline") from None
+            await _within(client.call("put", op[1]), remaining, "put")
         else:
             await client.wait_until(
                 self._take_ready, deadline=deadline, cancel=cancel)
             remaining = max(deadline - time.monotonic(), 0.001)
-            try:
-                await asyncio.wait_for(client.call("take_async"), remaining)
-            except asyncio.TimeoutError:
-                raise WaitTimeoutError(
-                    "take not completed within deadline") from None
+            await _within(client.call("take_async"), remaining, "take")
 
     def monitors(self) -> list:
         return [self.queue] if self.queue is not None else []
 
     def attach_supervisors(self, seed: int = 0, **kwargs) -> list:
         return self._supervise_all([self.queue.server], seed, **kwargs)
+
+
+async def _within(call, timeout: float, what: str) -> Any:
+    """Await ``call`` — a future or a coroutine — for at most ``timeout``
+    seconds.  A future that is already done is awaited directly, without
+    ``asyncio.wait_for``'s helper task and timer."""
+    if isinstance(call, asyncio.Future) and call.done():
+        return await call
+    try:
+        return await asyncio.wait_for(call, timeout)
+    except asyncio.TimeoutError:
+        raise WaitTimeoutError(
+            f"{what} not completed within deadline") from None
 
 
 class _SupplyDesk(ActiveMonitor):

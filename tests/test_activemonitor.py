@@ -6,9 +6,13 @@ import time
 import pytest
 
 from repro.active import ActiveMonitor, Policy, asynchronous, synchronous
+from repro.active import server as server_module
 from repro.active.futures import LightFuture
+from repro.active.scqueue import SingleConsumerBoundedQueue
+from repro.active.tasks import MonitorTask
+from repro.problems.bounded_buffer import ActiveBoundedQueue
 from repro.runtime import get_config
-from repro.runtime.errors import TaskError
+from repro.runtime.errors import BrokenMonitorError, TaskError
 
 
 class Box(ActiveMonitor):
@@ -201,6 +205,213 @@ class TestServerBatchExit:
             assert b.take() == 2
         finally:
             b.shutdown()
+
+
+    def test_a_combined_put_makes_one_pass(self, monkeypatch):
+        """A combiner that has run its task and finds nothing queued or
+        pending stops there: one ``drain_to`` and one ``select_task`` per
+        combined put, not a second pass over an empty queue."""
+        calls = {"drain_to": 0, "select_task": 0}
+        drain_to = SingleConsumerBoundedQueue.drain_to
+        select_task = server_module.select_task
+
+        def counting_drain_to(queue, out, limit=None):
+            calls["drain_to"] += 1
+            return drain_to(queue, out, limit)
+
+        def counting_select_task(policy, candidates, monitor):
+            calls["select_task"] += 1
+            return select_task(policy, candidates, monitor)
+
+        monkeypatch.setattr(SingleConsumerBoundedQueue, "drain_to",
+                            counting_drain_to)
+        monkeypatch.setattr(server_module, "select_task", counting_select_task)
+        q = ActiveBoundedQueue(16, mode="async")
+        try:
+            for i in range(500):
+                q.put(i).get(timeout=5)      # the server is idle: combined
+                assert q.take() == i         # its exit finds nothing to kick
+            assert q.metrics.tasks_combined == 500
+            assert calls == {"drain_to": 500, "select_task": 500}
+        finally:
+            q.shutdown()
+
+
+class Recorder(ActiveMonitor):
+    """Records which thread ran each body: ``ran`` holds (name, ident)."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.open = True
+        self.ran = []
+        self.attempts = 0
+
+    def _mark(self, name):
+        self.ran.append((name, threading.get_ident()))
+
+    @asynchronous(pre=lambda self, item: self.open)
+    def put(self, item):
+        self._mark("put")
+        return item
+
+    @asynchronous()
+    def note(self, tag):
+        self._mark("note")
+        return tag
+
+    @asynchronous()
+    def explode(self):
+        self._mark("explode")
+        raise RuntimeError("kaboom")
+
+    @asynchronous(pre=lambda self: 1 / 0 > 0)
+    def bad_guard(self):
+        self._mark("bad_guard")
+
+    @asynchronous(retries=1)
+    def flaky(self):
+        self._mark("flaky")
+        self.attempts += 1
+        if self.attempts == 1:
+            raise RuntimeError("first attempt")
+        return "second attempt"
+
+    @synchronous()
+    def set_open(self, flag):
+        self.open = flag
+
+
+@pytest.fixture
+def recorder():
+    m = Recorder()
+    yield m
+    m.shutdown()
+
+
+def _hold_lock(monitor):
+    """Hold ``monitor``'s lock on another thread until the event is set."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with monitor._lock:  # monlint: disable=W004 — forces the queued path
+            held.set()
+            release.wait(5)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(5)
+    return holder, release
+
+
+class TestSubmitNowaitInPlace:
+    """``submit_nowait`` runs a lone task on the submitting thread when the
+    monitor is idle, and otherwise enqueues it for the server."""
+
+    def test_idle_monitor_runs_the_body_on_the_submitter(self, recorder):
+        metrics = recorder.metrics
+        combined, submitted = metrics.tasks_combined, metrics.tasks_submitted
+        future = recorder.submit_nowait("put", 7)
+        assert future.done() and future.get() == 7
+        assert recorder.ran == [("put", threading.get_ident())]
+        assert metrics.tasks_combined - combined == 1
+        assert metrics.tasks_submitted - submitted == 1
+
+    def test_falls_back_when_another_thread_holds_the_lock(self, recorder):
+        holder, release = _hold_lock(recorder)
+        try:
+            future = recorder.submit_nowait("put", 1)
+            assert not future.done()     # enqueued: the server needs the lock
+        finally:
+            release.set()
+            holder.join(5)
+        assert future.get(timeout=5) == 1
+        assert recorder.ran == [("put", recorder.server._ident)]
+
+    def test_falls_back_behind_a_queued_task(self, recorder):
+        server = recorder.server
+        queued = MonitorTask.acquire(
+            lambda: recorder._mark("queued"), (), {}, name="queued")
+        queued_future = queued.future
+        assert server.queue.try_put(queued)   # queued, server not woken
+        future = recorder.submit_nowait("note", "x")
+        assert future.get(timeout=5) == "x"
+        queued_future.get(timeout=5)
+        assert recorder.ran == [("queued", server._ident),
+                                ("note", server._ident)]
+
+    def test_falls_back_on_a_false_guard_and_behind_a_pending_task(
+            self, recorder):
+        server = recorder.server
+        recorder.set_open(False)
+        parked = recorder.submit_nowait("put", 1)      # guard false
+        deadline = time.monotonic() + 5
+        while not server.pending and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert server.pending and not parked.done()
+        noted = recorder.submit_nowait("note", "y")    # a task is pending
+        assert noted.get(timeout=5) == "y"
+        recorder.set_open(True)                        # the exit kicks
+        assert parked.get(timeout=5) == 1
+        assert recorder.ran == [("note", server._ident),
+                                ("put", server._ident)]
+
+    def test_combining_batch_zero_turns_it_off(self, recorder):
+        cfg = get_config()
+        saved = cfg.combining_batch
+        cfg.combining_batch = 0
+        try:
+            combined = recorder.metrics.tasks_combined
+            assert recorder.submit_nowait("put", 2).get(timeout=5) == 2
+        finally:
+            cfg.combining_batch = saved
+        assert recorder.ran == [("put", recorder.server._ident)]
+        assert recorder.metrics.tasks_combined == combined
+
+    def test_failure_is_logged_and_handled_as_on_the_server(self, recorder):
+        seen = []
+        recorder.server.exception_handler = \
+            lambda task, error: seen.append((task.name, error))
+        future = recorder.submit_nowait("explode")
+        assert future.done()
+        with pytest.raises(TaskError) as info:
+            future.get()
+        error = info.value.cause
+        assert isinstance(error, RuntimeError)
+        assert recorder.server.exception_log == [error]
+        assert seen == [("explode", error)]
+        assert recorder.ran == [("explode", threading.get_ident())]
+        assert not recorder.broken and recorder.server.alive
+
+    def test_raising_guard_fails_only_its_task(self, recorder):
+        future = recorder.submit_nowait("bad_guard")
+        assert future.done()
+        with pytest.raises(TaskError) as info:
+            future.get()
+        assert isinstance(info.value.cause, ZeroDivisionError)
+        assert recorder.server.exception_log == [info.value.cause]
+        assert recorder.ran == []                   # the body never ran
+        assert recorder.submit_nowait("note", 1).get() == 1
+
+    def test_poisons_under_poison_on_exception(self, recorder):
+        cfg = get_config()
+        saved = cfg.poison_on_exception
+        cfg.poison_on_exception = True
+        try:
+            future = recorder.submit_nowait("explode")
+        finally:
+            cfg.poison_on_exception = saved
+        assert future.done() and recorder.broken
+        assert isinstance(recorder.broken_cause, RuntimeError)
+        with pytest.raises(BrokenMonitorError):
+            recorder.submit_nowait("note", 1)
+
+    def test_a_retry_runs_on_the_server_and_completes_the_same_future(
+            self, recorder):
+        future = recorder.submit_nowait("flaky")
+        assert future.get(timeout=5) == "second attempt"
+        assert recorder.ran == [("flaky", threading.get_ident()),
+                                ("flaky", recorder.server._ident)]
+        assert len(recorder.server.exception_log) == 1
 
 
 class TestExceptions:

@@ -11,20 +11,25 @@ threaded waiter's place in every search structure, so every signaling
 discipline covers it with no special cases.
 
 The real-loop half covers the bridge itself: ``LightFuture`` done
-callbacks, ``as_asyncio`` result/failure/cancellation semantics,
-``AsyncMonitorClient.wait_until`` (wake, timeout, cancel token, poison,
-task cancellation), delegation via ``submit_nowait`` / ``call``, awaitable
-composition, and — the cardinal rule, in debug mode — that a full
-put/wait/take workload never blocks the event-loop thread long enough to
-trip asyncio's slow-callback detector.
+callbacks, ``as_asyncio`` result/failure/cancellation semantics (a done
+future resolves in place), ``AsyncMonitorClient.wait_until`` (wake,
+timeout, cancel token, poison, task cancellation), delegation via
+``submit_nowait`` / ``call`` (in place on an idle monitor, queued behind
+a held lock while the loop keeps ticking), ``BufferService.handle_async``'s
+deadline on queued calls, awaitable composition, a preemption stress test
+of threads and a loop sharing one queue, and — the cardinal rule, in debug
+mode — that a full put/wait/take workload never blocks the event-loop
+thread long enough to trip asyncio's slow-callback detector.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
+import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +48,7 @@ from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
 from repro.core.waiter import AsyncWaiter, Waiter
+from repro.loadsim.services import BufferService
 from repro.preprocess import monitor_compile
 from repro.problems.bounded_buffer import ActiveBoundedQueue
 from repro.resilience import CancelToken
@@ -338,6 +344,37 @@ def test_await_future_timeout():
     asyncio.run(main())
 
 
+def test_as_asyncio_resolves_a_done_future_in_place(monkeypatch):
+    async def main():
+        loop = asyncio.get_running_loop()
+        hops = []
+        hop = loop.call_soon_threadsafe
+
+        def counting(*args):
+            hops.append(args)
+            return hop(*args)
+
+        monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
+        ok = LightFuture()
+        ok.set_result(42)
+        afut = as_asyncio(ok)
+        assert afut.done() and afut.result() == 42
+        bad = LightFuture()
+        bad.set_exception(ValueError("boom"))
+        afut = as_asyncio(bad)
+        assert afut.done()
+        with pytest.raises(TaskError) as exc_info:
+            afut.result()
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        assert hops == []
+        pending = LightFuture()     # a pending future still hops once
+        afut = as_asyncio(pending)
+        pending.set_result(7)
+        assert await afut == 7 and len(hops) == 1
+
+    asyncio.run(main())
+
+
 # ------------------------------------------------------------- wait_until
 
 
@@ -457,6 +494,174 @@ def test_call_and_wait_until_roundtrip():
         queue.shutdown()
 
 
+def _hold_lock(monitor):
+    """Hold ``monitor``'s lock on another thread until the event is set."""
+    held, release = threading.Event(), threading.Event()
+
+    def hold():
+        with monitor._lock:  # monlint: disable=W004 — forces the queued path
+            held.set()
+            release.wait(5)
+
+    holder = threading.Thread(target=hold, daemon=True)
+    holder.start()
+    assert held.wait(5)
+    return holder, release
+
+
+def test_call_on_an_idle_monitor_is_done_on_return():
+    queue = ActiveBoundedQueue(4, mode="async")
+    try:
+        async def main():
+            client = AsyncMonitorClient(queue)
+            put = client.call("put", 5)
+            assert put.done()            # ran in place on the loop thread
+            take = client.call("take_async")
+            assert take.done() and await take == 5
+
+        asyncio.run(main())
+        assert queue.metrics.tasks_combined == 2
+    finally:
+        queue.shutdown()
+
+
+def test_each_in_place_call_still_yields_to_the_loop():
+    """A coroutine chaining calls that run in place gives the other tasks
+    a turn at each await, as it did when every completion hopped through
+    call_soon_threadsafe."""
+    queue = ActiveBoundedQueue(16, mode="async")
+    try:
+        async def main():
+            client = AsyncMonitorClient(queue)
+            turns = []
+
+            async def caller():
+                for i in range(10):
+                    await client.call("put", i)
+                    turns.append("call")
+
+            async def other():
+                for _ in range(10):
+                    turns.append("other")
+                    await asyncio.sleep(0)
+
+            await asyncio.gather(caller(), other())
+            return turns
+
+        turns = asyncio.run(main())
+    finally:
+        queue.shutdown()
+    assert queue.metrics.tasks_combined == 10        # every put ran in place
+    assert turns.count("call") == 10
+    assert not any(a == b == "call" for a, b in zip(turns, turns[1:])), turns
+
+
+def test_probe_keeps_ticking_while_a_call_waits_on_the_server():
+    """Another thread holds the lock: the call is enqueued, and the loop
+    keeps running its 20-ms probe until the server completes it."""
+    queue = ActiveBoundedQueue(4, mode="async")
+    holder, release = _hold_lock(queue)
+    try:
+        async def main():
+            loop = asyncio.get_running_loop()
+            client = AsyncMonitorClient(queue)
+            drifts = []
+
+            async def probe():
+                expected = time.monotonic() + 0.02
+                while True:
+                    await asyncio.sleep(max(0.0, expected - time.monotonic()))
+                    now = time.monotonic()
+                    drifts.append(now - expected)
+                    expected = now + 0.02
+
+            ticker = asyncio.ensure_future(probe())
+            call = client.call("put", 9)
+            assert not call.done()       # queued behind the held lock
+            loop.call_later(0.3, release.set)
+            await asyncio.wait_for(call, 5.0)
+            ticker.cancel()
+            return drifts
+
+        drifts = asyncio.run(main())
+    finally:
+        release.set()
+        holder.join(5)
+        queue.shutdown()
+    assert len(drifts) >= 5, drifts
+    assert max(drifts) < 0.25, drifts
+    assert queue.count == 1
+
+
+def test_call_backs_off_while_the_task_queue_is_full():
+    cfg = get_config()
+    saved = cfg.task_queue_capacity
+    cfg.task_queue_capacity = 1
+    try:
+        queue = ActiveBoundedQueue(4, mode="async")
+    finally:
+        cfg.task_queue_capacity = saved
+    holder, release = _hold_lock(queue)
+    try:
+        async def main():
+            client = AsyncMonitorClient(queue)
+            first = client.call("put", 1)     # queued behind the held lock
+            second = client.call("put", 2)    # queue full: a backoff task
+            assert not first.done() and isinstance(second, asyncio.Task)
+            asyncio.get_running_loop().call_later(0.05, release.set)
+            await asyncio.wait_for(asyncio.gather(first, second), 5.0)
+
+        asyncio.run(main())
+    finally:
+        release.set()
+        holder.join(5)
+        queue.shutdown()
+    assert queue.count == 2 and queue.items[:2] == [1, 2]
+
+
+def test_buffer_service_awaits_an_in_place_call_without_wait_for(
+        monkeypatch):
+    service = BufferService(capacity=8, prefill=0)
+    service.start()
+    bounded = []
+    wait_for = asyncio.wait_for
+
+    def spy(aw, timeout):
+        bounded.append(timeout)
+        return wait_for(aw, timeout)
+
+    monkeypatch.setattr(asyncio, "wait_for", spy)
+    try:
+        async def main():
+            deadline = time.monotonic() + 2.0
+            await service.handle_async(("put", 3), deadline)
+            await service.handle_async(("take",), deadline)
+
+        asyncio.run(main())
+        assert bounded == []
+        assert service.queue.count == 0
+    finally:
+        service.stop()
+
+
+def test_buffer_service_bounds_a_queued_call_by_its_deadline():
+    service = BufferService(capacity=8, prefill=0)
+    service.start()
+    holder, release = _hold_lock(service.queue)
+    try:
+        async def main():
+            t0 = time.monotonic()
+            with pytest.raises(WaitTimeoutError):
+                await service.handle_async(("put", 3), t0 + 0.05)
+            assert time.monotonic() - t0 < 1.0
+
+        asyncio.run(main())
+    finally:
+        release.set()
+        holder.join(5)
+        service.stop()
+
+
 def test_submit_nowait_rejects_non_delegated_methods():
     queue = ActiveBoundedQueue(4, mode="async")
     try:
@@ -507,3 +712,88 @@ def test_no_slow_callbacks_in_debug_mode(caplog):
         queue.shutdown()
     slow = [r for r in caplog.records if "Executing" in r.getMessage()]
     assert slow == [], f"event loop blocked: {[r.getMessage() for r in slow]}"
+
+
+def test_threads_and_a_loop_share_one_queue_under_preemption():
+    """Stress: a producer thread, a consumer thread and an event loop that
+    puts and takes through ``client.call`` share one queue, with the
+    interpreter switching threads every 10 µs.  Nothing is lost or
+    duplicated, and the final count adds up."""
+    queue = ActiveBoundedQueue(1 << 16, mode="async")  # puts never pend
+    produced = {"thread": [], "loop": []}
+    consumed = {"thread": [], "loop": []}
+    stop = threading.Event()
+
+    def produce():
+        i = 0
+        while not stop.is_set():
+            item = ("thread", i)
+            queue.put(item).get(timeout=10)
+            produced["thread"].append(item)
+            i += 1
+
+    def consume():
+        while not stop.is_set():
+            try:
+                item = queue.take_until(deadline=time.monotonic() + 0.02)
+            except WaitTimeoutError:
+                continue
+            consumed["thread"].append(item)
+
+    async def main():
+        client = AsyncMonitorClient(queue)
+
+        async def loop_produce():
+            i = 0
+            while not stop.is_set():
+                item = ("loop", i)
+                await client.call("put", item)
+                produced["loop"].append(item)
+                i += 1
+                await asyncio.sleep(0)
+
+        async def loop_consume():
+            while not stop.is_set():
+                consumed["loop"].append(await client.call("take_async"))
+
+        consumer = asyncio.ensure_future(loop_consume())
+        await asyncio.gather(
+            loop_produce(), asyncio.get_running_loop().run_in_executor(
+                None, stop.wait))
+        j = 0
+        while not consumer.done():
+            # a take_async still pending on an empty queue: feed it
+            item = ("loop-tail", j)
+            await client.call("put", item)
+            produced["loop"].append(item)
+            j += 1
+            await asyncio.wait([consumer], timeout=0.01)
+        await consumer
+
+    prior = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=produce, daemon=True),
+               threading.Thread(target=consume, daemon=True)]
+    try:
+        for t in threads:
+            t.start()
+        timer = threading.Timer(0.5, stop.set)
+        timer.start()
+        threads.append(timer)
+        asyncio.run(asyncio.wait_for(main(), 30.0))
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        queue.flush()
+        count = queue.count
+        remaining = [queue.take() for _ in range(count)]
+    finally:
+        stop.set()
+        sys.setswitchinterval(prior)
+        queue.shutdown()
+    all_produced = produced["thread"] + produced["loop"]
+    all_consumed = consumed["thread"] + consumed["loop"]
+    assert produced["thread"] and produced["loop"] and consumed["loop"]
+    assert count == len(all_produced) - len(all_consumed)
+    assert Counter(all_consumed + remaining) == Counter(all_produced)
+    assert len(set(all_produced)) == len(all_produced)
