@@ -79,6 +79,10 @@ class MonitorServer:
         self._stop = False
         self.alive = False
         self._thread: Optional[threading.Thread] = None
+        #: orders ``start`` against ``stop``: a start that sees ``_stop``
+        #: under it gives its slot back, and a stop that sets ``_stop``
+        #: under it sees either no thread or one that has started
+        self._lifecycle = threading.Lock()
         #: thread id of the running server loop (see :meth:`kick`)
         self._ident: Optional[int] = None
         self.exception_log: list[BaseException] = []
@@ -97,15 +101,21 @@ class MonitorServer:
 
     # ------------------------------------------------------------- lifecycle
     def start(self) -> bool:
-        """Spawn the server thread if the registry grants a slot."""
+        """Spawn the server thread if the registry grants a slot and the
+        server has not been stopped."""
         if not registry.try_register(self):
             return False
-        self.alive = True
-        self._thread = threading.Thread(
-            target=self._run, name=f"monitor-server-{self.monitor.monitor_id}",
-            daemon=True,
-        )
-        self._thread.start()
+        with self._lifecycle:
+            if self._stop:
+                registry.unregister(self)
+                return False
+            self.alive = True
+            self._thread = threading.Thread(
+                target=self._run,
+                name=f"monitor-server-{self.monitor.monitor_id}",
+                daemon=True,
+            )
+            self._thread.start()
         return True
 
     def stop(self, timeout: float = 5.0) -> None:
@@ -117,9 +127,10 @@ class MonitorServer:
         futures are *not* drained here: the wedged thread may hold the
         monitor lock, and draining would wedge this caller too.
         """
-        self._stop = True
+        with self._lifecycle:
+            self._stop = True
+            thread = self._thread
         self._wake.set()
-        thread = self._thread
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout)
             if thread.is_alive():
@@ -251,6 +262,8 @@ class MonitorServer:
         except BaseException as exc:  # noqa: BLE001 — thread death handler
             self._on_death(exc)
             return
+        self.alive = False
+        registry.unregister(self)
         self.drain()
 
     def _on_death(self, exc: Optional[BaseException]) -> None:

@@ -72,10 +72,10 @@ from repro.analysis.rules import (
     ALL_RULES,
     ProjectContext,
     Rule,
-    _CONTAINER_MUTATORS,
     _const_str_names,
     _TRY_TYPES,
 )
+from repro.preprocess.transformer import _MUTATORS, _peel_to_self_attr
 
 __all__ = [
     "LivenessModel",
@@ -506,13 +506,10 @@ def _collect_method_writes(
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
-            if node.func.attr in _CONTAINER_MUTATORS:
-                peeled = _peel_obj_root(node.func.value)
-                if peeled is not None:
-                    obj, var = peeled
-                    if obj == self_name or obj.startswith(self_name + "."):
-                        root = obj.split(".")[1] if "." in obj else var
-                        add(root, node.lineno, "other", swallowed)
+            if node.func.attr in _MUTATORS:
+                root = _peel_to_self_attr(node.func.value, self_name)
+                if root is not None:
+                    add(root, node.lineno, "other", swallowed)
             elif (
                 node.func.attr == "_note_write"
                 and isinstance(node.func.value, ast.Name)
@@ -538,14 +535,9 @@ def _record_self_store(
             _self_write_direction(target, stmt, self_name), swallowed)
         return
     # nested attribute / subscript store: self.grid[i] = v, self.a.b = v
-    parts: list = []
-    node = target
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == self_name and parts:
-        add(parts[-1], target.lineno, "other", swallowed)
+    root = _peel_to_self_attr(target, self_name)
+    if root is not None:
+        add(root, target.lineno, "other", swallowed)
 
 
 def _external_resolve(
@@ -599,7 +591,7 @@ def _collect_external_writes(
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _CONTAINER_MUTATORS
+            and node.func.attr in _MUTATORS
         ):
             store_root = _peel_obj_root(node.func.value)
         if store_root is None:

@@ -62,6 +62,7 @@ from repro.analysis.model import (
     collect_wait_sites,
     monitor_locals,
 )
+from repro.preprocess.transformer import _untracked_write_root
 
 _TRY_TYPES = (ast.Try,) + (
     (ast.TryStar,) if hasattr(ast, "TryStar") else ()
@@ -641,15 +642,9 @@ def _bounded_by_timeout(call: ast.Call) -> bool:
 # W007 — in-place shared-state write bypassing the tracking proxy
 # ---------------------------------------------------------------------------
 
-#: receiver methods that mutate a container in place (mirror of the
-#: preprocessor's instrumentation vocabulary)
-_CONTAINER_MUTATORS = {
-    "add", "append", "appendleft", "clear", "discard", "extend",
-    "extendleft", "insert", "pop", "popitem", "popleft", "remove",
-    "reverse", "rotate", "setdefault", "sort", "update",
-}
-
-
+# Which writes bypass the proxy is the preprocessor's definition
+# (``_untracked_write_root``), so the lint flags exactly the writes
+# ``@monitor_compile`` would instrument.
 class UntrackedSharedWrite(Rule):
     code = "W007"
     name = "untracked-shared-write"
@@ -666,10 +661,10 @@ class UntrackedSharedWrite(Rule):
                 if method.self_name is None:
                     continue
                 noted = _noted_names(method.node, method.self_name)
-                for node, name in _untracked_self_writes(
-                    method.node, method.self_name
-                ):
-                    if name in read_names and name not in noted:
+                for node in ast.walk(method.node):
+                    name = _untracked_write_root(node, method.self_name)
+                    if (name is not None and not name.startswith("_")
+                            and name in read_names and name not in noted):
                         yield self._finding(
                             module.path, node,
                             f"in-place write to self.{name} bypasses the "
@@ -746,47 +741,6 @@ def _noted_names(func: ast.AST, self_name: str) -> set[str]:
         ):
             names.add(node.args[0].value)
     return names
-
-
-def _peel_self_root(node: ast.expr, self_name: str) -> str | None:
-    """``self.a.b[k]`` → ``"a"``; None when not rooted at ``self``."""
-    attr = None
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        if isinstance(node, ast.Attribute):
-            attr = node.attr
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == self_name:
-        return attr
-    return None
-
-
-def _untracked_self_writes(
-    func: ast.AST, self_name: str
-) -> Iterator[tuple[ast.AST, str]]:
-    """Yield (node, variable) for writes ``Monitor.__setattr__`` cannot
-    see: subscript / nested-attribute stores and deletes rooted at self,
-    and container-mutator calls on a self attribute."""
-    for node in ast.walk(func):
-        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
-            getattr(node, "ctx", None), (ast.Store, ast.Del)
-        ):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == self_name
-            ):
-                continue  # plain rebind/del: the proxy tracks it
-            root = _peel_self_root(node, self_name)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _CONTAINER_MUTATORS
-        ):
-            root = _peel_self_root(node.func.value, self_name)
-        else:
-            continue
-        if root is not None and not root.startswith("_"):
-            yield node, root
 
 
 # ---------------------------------------------------------------------------

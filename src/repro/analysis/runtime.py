@@ -15,7 +15,7 @@ Two runtime assertions back the static rules with ground truth:
 Enabling/disabling::
 
     from repro.analysis import runtime as monlint_runtime
-    monlint_runtime.enable_checks()          # also sets config.analysis_checks
+    monlint_runtime.enable_checks()
     ...
     monlint_runtime.disable_checks()
 
@@ -37,11 +37,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterator, List
 
-from repro.runtime.config import get_config
 from repro.runtime.errors import LockOrderError, PredicateSideEffectError
 
-#: fast-path switch read by Monitor._monitor_enter/_monitor_exit.  Toggle it
-#: through :func:`enable_checks` so ``config.analysis_checks`` stays in sync.
+#: fast-path switch read by Monitor._monitor_enter/_monitor_exit; toggle it
+#: through :func:`enable_checks` / :func:`disable_checks`.
 enabled: bool = False
 
 #: whether a lock-order violation raises (True) or is only recorded
@@ -64,17 +63,15 @@ def _held() -> list[list]:
 
 
 def enable_checks(raise_on_order_violation: bool = True) -> None:
-    """Turn the dynamic checker on (and record it in the runtime config)."""
+    """Turn the dynamic checker on."""
     global enabled, raise_on_violation
     raise_on_violation = raise_on_order_violation
-    get_config().analysis_checks = True
     enabled = True
 
 
 def disable_checks() -> None:
     """Turn the dynamic checker off again."""
     global enabled
-    get_config().analysis_checks = False
     enabled = False
 
 

@@ -83,6 +83,10 @@ if False:  # pragma: no cover — annotation-only import
 
 SIGNALING_MODES = ("autosynch", "autosynch_t", "baseline")
 
+#: §2.5.1 keeps at most 2n inactive predicate records for n live threads:
+#: the inactive Waiter pool is capped at this multiple of the live waiters
+_POOL_FACTOR = 2
+
 
 class ConditionManager:
     """Per-monitor waiter registry implementing the relay signaling rule."""
@@ -99,9 +103,9 @@ class ConditionManager:
         #: monitor so that writing them never runs ``Monitor.__setattr__``'s
         #: write tracking.  ``depth`` is the owning thread's reentrancy
         #: depth; ``generation`` is bumped by every lock release that ends a
-        #: section (``Monitor._end_section``), and global-predicate waiters
-        #: memoize atom values against it (§4.2).  Both are written only
-        #: with the monitor lock held.
+        #: section (``Monitor._end_section``), and the Inspector's stall
+        #: check reads it.  Both are written only with the monitor lock
+        #: held.
         self.depth = 0
         self.generation = 0
         self.waiters: list[Waiter] = []     # insertion order (autosynch_t scan)
@@ -120,8 +124,8 @@ class ConditionManager:
         self._evaler_refs: dict[Any, int] = {}
         #: §2.5.1: recycled Waiter objects (each carrying its condition
         #: variable) — when a waiter leaves it joins an inactive pool for
-        #: reuse, bounded by ``inactive_predicate_factor × live waiters``
-        #: (the paper's 2n cap)
+        #: reuse, bounded by ``_POOL_FACTOR × live waiters`` (the paper's
+        #: 2n cap)
         self._waiter_pool: list[Waiter] = []
         #: abandoned async waiters awaiting deregistration.  Appended from
         #: the event-loop/canceller thread *without* the monitor lock
@@ -773,8 +777,7 @@ class ConditionManager:
         # condition variable and their claim flag is single-use.
         if waiter.deliver is not None:
             return
-        cfg = config_snapshot()
-        cap = max(4, cfg.inactive_predicate_factor * (len(self.waiters) + 1))
+        cap = max(4, _POOL_FACTOR * (len(self.waiters) + 1))
         if len(self._waiter_pool) < cap:
             waiter.retire()
             self._waiter_pool.append(waiter)

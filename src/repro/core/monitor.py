@@ -265,11 +265,10 @@ class Monitor(metaclass=MonitorMeta):
         lock still held, right before its relay: ``_monitor_exit``, a
         park in :meth:`wait_until` (its relay is ``wait_blocking``'s first
         act), the server's two batch exits and
-        ``GuardedCall.try_execute``.  Multisynch's release loops inline the
-        same steps.  The bump comes before the release, so a waiter
-        sampling generations under the lock never misses a mutation.  A
-        release that skips these steps loses wakeups: no exit hook sees the
-        section's writes, and a global waiter's memo keeps a stale value
+        ``GuardedCall.try_execute``.  Multisynch's release loop inlines the
+        same steps.  The generation counts ended sections for the
+        Inspector's stall check.  A release that skips these steps loses
+        wakeups: no exit hook sees the section's writes
         (docs/robustness.md).
         """
         self._cond_mgr.generation += 1

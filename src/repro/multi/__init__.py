@@ -3,7 +3,6 @@
 from repro.multi.global_predicates import (
     ComplexPredicate,
     GAnd,
-    GenerationEvaluator,
     GlobalAtom,
     GlobalNode,
     GOr,
@@ -29,7 +28,6 @@ __all__ = [
     "monitor_set",
     "MonitorSet",
     "current_multisynch",
-    "GenerationEvaluator",
     "local",
     "complex_pred",
     "LocalPredicate",

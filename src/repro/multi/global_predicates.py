@@ -11,7 +11,10 @@ involving exactly one monitor) and, optionally, *complex predicates*
 Evaluation of the full predicate requires holding every involved monitor's
 lock; local atoms can be evaluated holding only their own monitor's lock —
 that asymmetry is exactly what the atomic-variable and critical-clause
-approaches exploit.
+approaches exploit.  A waiting thread evaluates the full predicate afresh,
+as the paper's ``waituntil`` does: once on entry and once after each
+wakeup, with every lock held.  Closure (Def. 2) makes that check sound, so
+no atom value is memoized across a park.
 
 :func:`compute_critical` implements the paper's Algorithm 3: given a global
 predicate that is false in the current state, derive a *critical clause* — a
@@ -26,7 +29,6 @@ from typing import Callable, Iterable, Sequence
 from repro.core import compiled as _compiled
 from repro.core.monitor import Monitor
 from repro.core.predicates import BoolNode, Predicate
-from repro.runtime.config import config_snapshot
 from repro.runtime.errors import PredicateError
 
 
@@ -204,121 +206,6 @@ class GOr(GlobalNode):
 
     def __repr__(self):
         return "(" + " || ".join(map(repr, self.children)) + ")"
-
-
-class GenerationEvaluator:
-    """Memoizing evaluator for one thread's global-predicate wait loop.
-
-    Every :class:`~repro.core.monitor.Monitor` carries a generation
-    counter (on its condition manager) bumped by every lock release that
-    ends a section (``Monitor._end_section``: exits, parks, the
-    ActiveMonitor server's batch exits, composition operands).  While this
-    thread was parked, an atom's last value remains valid as long as every
-    involved monitor's generation is unchanged — any mutation by another
-    thread happens inside a monitor section whose release bumps the counter
-    *before* releasing the lock.  So a
-    wakeup re-evaluates only the atoms whose monitors actually moved, and
-    when nothing moved the whole evaluation is served from the memo.
-
-    Local atoms with a *known* predicate read set are stamped at finer
-    grain: per summed read-variable write generation
-    (``ConditionManager.var_gens``, bumped when an exit's dirty set is
-    flushed) instead of per monitor generation.  A neighbor's exit that
-    wrote unrelated variables then still validates the memo — the common
-    case in sparse workloads, where the whole-monitor stamp is invalidated
-    by every exit.
-
-    The memo is confined to one ``wait_until`` call (one thread).  That
-    confinement is what makes direct in-block attribute writes safe: a
-    write by *this* thread can only happen before the evaluator was built
-    or after it dies — never between two of its evaluations, because the
-    thread is parked in between.  Sharing a memo across threads (e.g. on
-    the atoms themselves) would break exactly there.
-
-    ``credit_own_release`` folds the caller's *own* imminent release (one
-    exit per involved monitor) into the stamps, so a wakeup where no other
-    thread touched anything is recognized as "unchanged".
-    """
-
-    __slots__ = ("node", "_memo", "_metrics")
-
-    def __init__(self, node: GlobalNode, metrics=None):
-        self.node = node
-        #: id(atom) -> [stamp, value, span, reads, monitor]; ``reads`` is
-        #: None for generation-stamped entries (stamp = Σ generations,
-        #: own-release credit = span) and a frozenset of variable names for
-        #: var-stamped ones (stamp = Σ var gens, credit = |reads ∩ dirty|)
-        self._memo: dict[int, list] = {}
-        self._metrics = metrics   # e.g. manager.global_condition_metrics
-
-    def evaluate(self) -> bool:
-        """Evaluate the predicate; caller holds every involved lock."""
-        return self._eval(self.node)
-
-    def _eval(self, node: GlobalNode) -> bool:
-        children = getattr(node, "children", None)
-        if children is not None:
-            if isinstance(node, GAnd):
-                for c in children:
-                    if not self._eval(c):
-                        return False
-                return True
-            for c in children:      # GOr
-                if self._eval(c):
-                    return True
-            return False
-        # atom: stamp = sum of monotonically non-decreasing counters (the
-        # sum is unchanged iff every one is) — per read variable when the
-        # atom's read set is known, per monitor generation otherwise
-        reads = None
-        monitor = None
-        if isinstance(node, LocalPredicate):
-            monitor = node.monitor
-            if config_snapshot().track_dependencies:
-                reads = node.predicate.read_set()
-            if reads is not None:
-                gens = monitor._cond_mgr.var_gens
-                stamp = 0
-                for name in reads:
-                    stamp += gens.get(name, 0)
-                span = 0
-            else:
-                stamp = monitor._cond_mgr.generation
-                span = 1
-        else:
-            stamp = 0
-            span = 0
-            for m in node.monitors():
-                stamp += m._cond_mgr.generation
-                span += 1
-        memo = self._memo.get(id(node))
-        if (memo is not None and memo[0] == stamp
-                and (memo[3] is None) == (reads is None)):
-            if self._metrics is not None:
-                self._metrics.gen_skips += 1
-            return memo[1]
-        value = node.evaluate()
-        self._memo[id(node)] = [stamp, value, span, reads, monitor]
-        return value
-
-    def credit_own_release(self) -> None:
-        """Fold the caller's imminent release into the memoized stamps.
-
-        Generation-stamped entries gain one bump per monitor the atom spans
-        (releasing a monitor bumps its generation once); var-stamped entries
-        gain one bump per read variable the caller's own section dirtied
-        (the release's relay flush bumps exactly those).  Call right before
-        releasing all locks on the way into a park."""
-        for memo in self._memo.values():
-            reads = memo[3]
-            if reads is None:
-                memo[0] += memo[2]
-                continue
-            dirty = memo[4]._dirty
-            if dirty:
-                for name in reads:
-                    if name in dirty:
-                        memo[0] += 1
 
 
 def local(monitor: Monitor, condition) -> LocalPredicate:

@@ -22,12 +22,8 @@ Fast-path structure (the same monitor sets are re-acquired in loops):
 * :class:`MonitorSet` (``monitor_set(a, b)``) makes the caching explicit:
   flatten once, then ``with ms.synch():`` re-acquires the precomputed tuple
   with no argument walking at all.
-* ``wait_until`` evaluates the condition once and returns when it holds;
-  only a wait that parks builds a
-  :class:`~repro.multi.global_predicates.GenerationEvaluator`: monitors
-  are generation-stamped on every section exit, so a woken waiter
-  re-evaluates only the atoms whose monitors actually changed — and skips
-  evaluation entirely when none did.
+* ``wait_until`` evaluates the condition directly, once on entry and once
+  after each wakeup, with every lock held; it keeps no memo across a park.
 
 Example (the paper's Fig. 1.5)::
 
@@ -45,7 +41,7 @@ from typing import Iterable, Iterator, Optional
 from repro.analysis import runtime as _monlint
 from repro.core.monitor import Monitor
 from repro.multi import manager
-from repro.multi.global_predicates import GenerationEvaluator, GlobalNode
+from repro.multi.global_predicates import GlobalNode
 from repro.multi.strategies import GlobalWaiter
 from repro.resilience import chaos as _chaos
 from repro.runtime.config import config_snapshot
@@ -207,14 +203,17 @@ class Multisynch:
 
     # ------------------------------------------------------------- lock mgmt
     #
-    # The loops below inline Monitor._monitor_enter/_monitor_exit for the
-    # common configuration (monlint runtime pass off, phase timing off):
-    # acquire = lock + depth bump; release = depth drop and, at depth 0,
-    # the exit steps of Monitor._end_section (generation bump, exit hooks),
-    # relay signal, unlock.  The section counters live on the condition
-    # manager.  Any change to the canonical methods in repro.core.monitor
-    # must be mirrored here; the guarded slow path keeps behavior identical
-    # when either instrument is enabled.
+    # ``__enter__`` and ``_acquire_all`` inline Monitor._monitor_enter, and
+    # ``_release_all`` (the one release loop: the block's exit and every
+    # park) inlines Monitor._monitor_exit, for the common configuration
+    # (monlint runtime pass off, phase timing off): acquire = lock + depth
+    # bump; release = depth drop and, at depth 0, the exit steps of
+    # Monitor._end_section (generation bump, exit hooks), relay signal,
+    # unlock.  Calling the canonical methods per monitor instead makes a
+    # block cycle slower (docs/performance.md).  The section counters live
+    # on the condition manager.  Any change to the canonical methods in
+    # repro.core.monitor must be mirrored here; the guarded slow path keeps
+    # behavior identical when either instrument is enabled.
     def _acquire_all(self) -> None:
         """Re-acquire every lock (wait-loop path) — deliberately infallible.
 
@@ -254,8 +253,7 @@ class Multisynch:
             cm.depth = depth
             if depth == 0:
                 try:
-                    # bump before the lock release so waiters sampling
-                    # generations under the locks never miss a mutation
+                    # the Inspector's stall check reads the generation
                     cm.generation += 1
                     hooks = m._exit_hooks
                     if hooks:
@@ -263,8 +261,8 @@ class Multisynch:
                             hook(m)
                     # _dirty forces the call even with nobody waiting: the
                     # relay flush is what advances per-variable write
-                    # generations, and memoized values are revalidated
-                    # against those
+                    # generations, which the relay's shared-expression memo
+                    # and the Inspector read
                     if cm.waiters or m._dirty or cm.mode == "baseline":
                         cm.relay_signal()
                 finally:
@@ -313,32 +311,8 @@ class Multisynch:
         return self
 
     def __exit__(self, *exc) -> None:
-        # inline _release_all (mirrors the loop above; one frame fewer)
         try:
-            self._held = False
-            if _monlint.enabled or _chaos.enabled:
-                for m in self._rev:       # descending id
-                    m._monitor_exit()
-                return
-            for m in self._rev:
-                cm = m._cond_mgr
-                depth = cm.depth - 1
-                cm.depth = depth
-                if depth == 0:
-                    try:
-                        cm.generation += 1
-                        hooks = m._exit_hooks
-                        if hooks:
-                            for hook in hooks:
-                                hook(m)
-                        # _dirty: flush write generations even when nobody
-                        # waits locally (see _release_all)
-                        if cm.waiters or m._dirty or cm.mode == "baseline":
-                            cm.relay_signal()
-                    finally:
-                        m._lock.release()  # monlint: disable=W004
-                else:
-                    m._lock.release()  # monlint: disable=W004
+            self._release_all()
         finally:
             _active.block = None
 
@@ -376,16 +350,9 @@ class Multisynch:
                 f"global predicate involves monitors {missing} not held by "
                 "this multisynch block"
             )
-        # Evaluate first: almost every wait is true on entry, and the memo
-        # pays only after a wakeup, so the evaluator is built on the way to
-        # a park.  Its first evaluation runs under the same held locks, so
-        # it repeats this one (atoms are pure, Def. 2) and stamps the memo.
         if condition.evaluate():
             return
         gm = manager.global_condition_metrics
-        evaluator = GenerationEvaluator(condition, gm)
-        if evaluator.evaluate():
-            return
         if timeout is not None:
             t = time.monotonic() + timeout
             deadline = t if deadline is None else min(deadline, t)
@@ -403,10 +370,6 @@ class Multisynch:
         try:
             while True:
                 manager.register(waiter)
-                # our own release bumps each involved monitor exactly once;
-                # credit it so "nobody else touched anything" reads as
-                # unchanged
-                evaluator.credit_own_release()
                 self._release_all()
                 if deadline is None:
                     waiter.event.wait()
@@ -422,7 +385,7 @@ class Multisynch:
                     raise BrokenMonitorError(
                         f"{broken!r} was marked broken during a global wait",
                         broken._broken)
-                if evaluator.evaluate():
+                if condition.evaluate():
                     return
                 gm.false_evals += 1
                 if cancel is not None and cancel.cancelled():

@@ -279,8 +279,9 @@ class _RenameSelf(ast.NodeTransformer):
 
 
 #: receiver methods treated as in-place mutation of the container they are
-#: called on (list/dict/set/deque vocabulary; unknown names are left alone
-#: and fall under monlint's W007 instead)
+#: called on (list/dict/set/deque vocabulary).  Calls of other names are
+#: not writes, to this instrumentation and to monlint (W007 and the
+#: liveness pass read this set)
 _MUTATORS = frozenset({
     "add", "append", "appendleft", "clear", "discard", "extend",
     "extendleft", "insert", "pop", "popitem", "popleft", "remove",
@@ -321,27 +322,34 @@ def _stmt_header_nodes(stmt: ast.stmt):
         stack.extend(ast.iter_child_nodes(node))
 
 
+def _untracked_write_root(node: ast.AST, self_name: str) -> str | None:
+    """The shared variable ``node`` writes through a path the monitor's
+    ``__setattr__`` proxy cannot see, or None.  Such writes are
+    subscript/nested-attribute stores and deletes (``self.x[i] = v``,
+    ``self.a.b = v``, ``del self.x[i]``) and in-place mutator calls
+    (``self.items.append(v)``).  The one definition: ``@monitor_compile``
+    instruments exactly these writes, and monlint's W007 flags them."""
+    if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
+        node.ctx, (ast.Store, ast.Del)
+    ):
+        if _is_plain_self_attr(node, self_name):
+            return None  # rebind/del of self.attr: __setattr__ tracks it
+        return _peel_to_self_attr(node, self_name)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _MUTATORS
+    ):
+        return _peel_to_self_attr(node.func.value, self_name)
+    return None
+
+
 def _untracked_writes(stmt: ast.stmt, self_name: str) -> set[str]:
-    """Shared-variable names ``stmt`` writes through paths the monitor's
-    ``__setattr__`` proxy cannot see: subscript/nested-attribute stores and
-    deletes (``self.x[i] = v``, ``self.a.b = v``, ``del self.x[i]``) and
-    in-place mutator calls (``self.items.append(v)``)."""
+    """Shared-variable names ``stmt`` itself (not its nested blocks) writes
+    untracked, by :func:`_untracked_write_root`."""
     roots: set[str] = set()
     for node in _stmt_header_nodes(stmt):
-        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(
-            node.ctx, (ast.Store, ast.Del)
-        ):
-            if _is_plain_self_attr(node, self_name):
-                continue  # rebind/del of self.attr: __setattr__ tracks it
-            root = _peel_to_self_attr(node, self_name)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATORS
-        ):
-            root = _peel_to_self_attr(node.func.value, self_name)
-        else:
-            continue
+        root = _untracked_write_root(node, self_name)
         if root is not None:
             roots.add(root)
     return roots

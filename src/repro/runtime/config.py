@@ -59,22 +59,9 @@ class Config:
     #: means "derive from hardware" exactly as §3.3.4 prescribes.
     max_server_threads: int | None = None
 
-    #: Threshold above which inactive (waiter-less) predicate records are
-    #: recycled, expressed as a multiple of the live thread count (§2.5.1
-    #: describes a 2n inactive list).
-    inactive_predicate_factor: int = 2
-
     #: Collect phase timings (await / lock / relay / tag management).  Off by
     #: default because timers cost more than the counters.
     phase_timing: bool = False
-
-    #: Dynamic monitor-usage checks (lock-order assertions + predicate
-    #: purity probes, see :mod:`repro.analysis.runtime`).  Reflects the
-    #: checker state; toggle it via ``repro.analysis.runtime.enable_checks``
-    #: / ``disable_checks`` so the monitor hot path's fast flag stays in
-    #: sync.  Off by default: when off the only cost is one boolean test
-    #: per monitor enter/exit.
-    analysis_checks: bool = False
 
     #: Evaluate ``waituntil`` predicates through code-generated flat
     #: closures (:mod:`repro.core.compiled`) instead of walking the
@@ -136,9 +123,7 @@ class ConfigSnapshot:
         "combining_batch",
         "task_queue_capacity",
         "max_server_threads",
-        "inactive_predicate_factor",
         "phase_timing",
-        "analysis_checks",
         "compile_predicates",
         "track_dependencies",
         "poison_on_exception",
@@ -150,9 +135,7 @@ class ConfigSnapshot:
         self.combining_batch = cfg.combining_batch
         self.task_queue_capacity = cfg.task_queue_capacity
         self.max_server_threads = cfg.max_server_threads
-        self.inactive_predicate_factor = cfg.inactive_predicate_factor
         self.phase_timing = cfg.phase_timing
-        self.analysis_checks = cfg.analysis_checks
         self.compile_predicates = cfg.compile_predicates
         self.track_dependencies = cfg.track_dependencies
         self.poison_on_exception = cfg.poison_on_exception

