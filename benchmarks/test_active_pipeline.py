@@ -9,7 +9,9 @@ in-process comparison lanes that make the gate runner-independent:
   against the vendored pre-PR implementation (``AtomicInteger`` micro-lock
   + ``putlock``), same harness, same process;
 * ``multisynch_cached_vs_uncached`` — the flatten-cache fast path against
-  the walk/dedupe/sort path (``_cache_enabled = False``).
+  the walk/dedupe/sort path (``_cache_enabled = False``), the two lanes
+  timed alternately in one process; the ratio is the median of the
+  per-pair ratios, so host drift cancels in each pair.
 
 Results are written to ``BENCH_active_pipeline.json`` at the repo root (set
 ``REPRO_WRITE_BENCH=1``).  The committed copy records the numbers backing
@@ -29,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import threading
 from collections import deque
 from typing import Any, Optional
@@ -69,6 +72,8 @@ ACCEPTANCE = {
 
 GATED_RATIOS = ("queue_vs_legacy_4p", "multisynch_cached_vs_uncached")
 RATIO_TOLERANCE = 0.30
+#: alternating (cached, uncached) multisynch timing pairs
+INTERLEAVED_PAIRS = 25
 
 
 # -------------------------------------------------------------- legacy queue
@@ -141,18 +146,29 @@ class LegacyQueue:
 
 
 # ------------------------------------------------------------------ the run
+def interleaved_cache_ratios(pairs: int = INTERLEAVED_PAIRS,
+                             iters: int = 4_000) -> list[float]:
+    """Per-pair (cached ÷ uncached) multisynch cycle throughput over two
+    monitors, the two lanes timed alternately in this process."""
+    ratios = []
+    for _ in range(pairs):
+        cached = multisynch_cycle(2, iters)
+        _multisync_mod._cache_enabled = False
+        try:
+            uncached = multisynch_cycle(2, iters)
+        finally:
+            _multisync_mod._cache_enabled = True
+        ratios.append(cached / uncached)
+    return ratios
+
+
 def _comparison_lanes() -> dict[str, float]:
     new_q = queue_ops(4)
     legacy_q = queue_ops(4, queue_factory=LegacyQueue)
-    cached = multisynch_cycle(2)
-    _multisync_mod._cache_enabled = False
-    try:
-        uncached = multisynch_cycle(2)
-    finally:
-        _multisync_mod._cache_enabled = True
     return {
         "queue_vs_legacy_4p": round(new_q / legacy_q, 2),
-        "multisynch_cached_vs_uncached": round(cached / uncached, 2),
+        "multisynch_cached_vs_uncached": round(
+            statistics.median(interleaved_cache_ratios()), 2),
     }
 
 

@@ -8,13 +8,16 @@ Times the section-exit signaling cost in two lanes:
   scan-everything relay.
 
 Workloads: the 1-of-256 sparse pool from BENCH_relay_dirty.json driven at
-manager level, plus a bounded buffer and a readers-writers monitor driven
-end to end through compiled methods with idle waiters parked.  Those two
-park real threads, and scheduler noise swings their per-op times by more
-than the tolerance: they are recorded, not gated.  For the sparse lane
-the per-op *write* cost (the ``__setattr__`` dirty-tracking proxy) is
-measured separately and subtracted, so the exit-cost ratio compares
-signaling work against signaling work.
+manager level; a false-root pool, also at manager level, of 32 tagged
+waiters split over both threshold heaps of one variable that every exit
+writes without making any root true; plus a bounded buffer and a
+readers-writers monitor driven end to end through compiled methods with
+idle waiters parked.  Those two park real threads, and scheduler noise
+swings their per-op times by more than the tolerance: they are recorded,
+not gated.  For the sparse lane the per-op *write* cost (the
+``__setattr__`` dirty-tracking proxy) is measured separately and
+subtracted, so the exit-cost ratio compares signaling work against
+signaling work.
 
 ``BENCH_aot_signal.json`` is the record of the retired signal plans: its
 ``direct`` lane timed a planned exit, its ``tracked`` lane an unplanned
@@ -27,7 +30,10 @@ absolute times:
   default exit costs at most 30% more, relative to the write, than the
   committed planned exit did (median of the per-pair ratios);
 * the committed record still shows the planned exit beating the tracked
-  relay by ≥2× (a static check on the record).
+  relay by ≥2× (a static check on the record);
+* timed alternately with its write-only lane, the false-root exit costs at
+  most ``FALSE_ROOT_CEILING`` times the write (median of the per-pair
+  ratios): each heap's probe is one evaluation and one comparison.
 """
 
 from __future__ import annotations
@@ -61,9 +67,15 @@ SPARSE_EXIT_MIN_SPEEDUP = 2.0
 #: 27–86×; committed-relative gating is too noisy when the default exit's
 #: small net cost sits in the denominator)
 EXHAUSTIVE_MIN_SPEEDUP = 10.0
-#: alternating (exit, write-only) timing pairs behind the interleaved gate;
+#: alternating (exit, write-only) timing pairs behind the interleaved gates;
 #: the lanes run back to back, so host drift cancels in each pair's ratio
 INTERLEAVED_PAIRS = 25
+#: tagged waiters in the false-root pool (relay_crowd parks 32 bystanders)
+FALSE_ROOT_WAITERS = 32
+#: ceiling on the false-root exit's median cost relative to the write-only
+#: lane, set between interleaved runs of the memoized, generator-walking
+#: probe and the direct one (numbers in docs/performance.md)
+FALSE_ROOT_CEILING = 9.0
 
 
 def best_ns_per_op(fn, number: int, repeats: int = 5) -> float:
@@ -265,11 +277,52 @@ def sparse_exit_run(n_waiters: int):
     return run
 
 
-def interleaved_sparse_ratios(pairs: int = INTERLEAVED_PAIRS,
-                              number: int = 2000) -> list[float]:
-    """Per-pair (exit ÷ write-only) cost on the 1-of-256 pool, the two
-    lanes timed alternately in this process."""
-    exit_run, write_run = sparse_exit_run(256), sparse_write_run(256)
+# false roots: manager-level, tagged waiters on the one variable each exit
+# writes, every heap root false
+
+
+def _false_root_pool(n_waiters: int):
+    m = SparseBoard()
+    mgr = m._cond_mgr
+    for i in range(n_waiters // 2):
+        mgr._register(Waiter(Predicate(S.v0 >= 1000 + i), m._lock))
+        mgr._register(Waiter(Predicate(S.v0 <= -1000 - i), m._lock))
+    with m._lock:
+        mgr.relay_signal()   # flush the __init__ write
+    return m, mgr
+
+
+def false_root_write_run(n_waiters: int):
+    """The false-root lane's per-op write, no signaling."""
+    m, mgr = _false_root_pool(n_waiters)
+
+    def run(n):
+        with m._lock:
+            for _ in range(n):
+                m.v0 = 0
+            m._dirty.clear()
+
+    return run
+
+
+def false_root_exit_run(n_waiters: int):
+    """One write of the heaps' variable and one section exit per op."""
+    m, mgr = _false_root_pool(n_waiters)
+
+    def run(n):
+        with m._lock:
+            rs = mgr.relay_signal
+            for _ in range(n):
+                m.v0 = 0
+                rs()
+
+    return run
+
+
+def interleaved_ratios(exit_run, write_run, pairs: int = INTERLEAVED_PAIRS,
+                       number: int = 2000) -> list[float]:
+    """Per-pair (exit ÷ write-only) cost, the two lanes timed alternately
+    in this process."""
     ratios = []
     for _ in range(pairs):
         exit_ns = best_ns_per_op(exit_run, number, repeats=3)
@@ -311,7 +364,11 @@ def run_suite() -> dict:
         _lane_config("default")
         write_baseline = round(
             best_ns_per_op(sparse_write_run(256), 20000), 1)
-        interleaved = interleaved_sparse_ratios()
+        interleaved = interleaved_ratios(sparse_exit_run(256),
+                                         sparse_write_run(256))
+        false_root = interleaved_ratios(
+            false_root_exit_run(FALSE_ROOT_WAITERS),
+            false_root_write_run(FALSE_ROOT_WAITERS))
     finally:
         cfg.track_dependencies = prior_track
         cfg.compile_predicates = prior_compile
@@ -325,6 +382,9 @@ def run_suite() -> dict:
         ),
         "sparse_interleaved_exit_vs_write": round(
             statistics.median(interleaved), 2
+        ),
+        "false_root_interleaved_exit_vs_write": round(
+            statistics.median(false_root), 2
         ),
         "bounded_buffer_default_vs_exhaustive": round(
             lanes["exhaustive"]["bounded_buffer"]
@@ -343,6 +403,8 @@ def run_suite() -> dict:
             lane: round(exit_cost(lane), 1) for lane in ("default", "exhaustive")
         },
         "sparse_interleaved_exit_vs_write": [round(r, 3) for r in interleaved],
+        "false_root_interleaved_exit_vs_write": [
+            round(r, 3) for r in false_root],
         "ratios": ratios,
     })
 
@@ -399,6 +461,34 @@ def test_default_exit_holds_the_planned_exit_cost(results):
         f"sparse exit costs {got:.2f}x the write-only lane (median of "
         f"{len(pairs)} interleaved pairs); the committed planned exit cost "
         f"{reference:.2f}x, ceiling {ceiling:.2f}x"
+    )
+
+
+def test_false_root_exits_cost_one_check_per_heap():
+    """Exact counts on the false-root pool: 64 exits cost two tag checks
+    each (one per heap, root false) and no predicate evaluation."""
+    m, mgr = _false_root_pool(FALSE_ROOT_WAITERS)
+    with m._lock:
+        evals0 = mgr.metrics.predicate_evals
+        tags0 = mgr.metrics.tag_checks
+        for _ in range(64):
+            m.v0 = 0
+            assert mgr.relay_signal() is None
+        assert mgr.metrics.predicate_evals - evals0 == 0
+        assert mgr.metrics.tag_checks - tags0 == 2 * 64
+
+
+def test_false_root_exit_holds_its_ceiling(results):
+    """Timed alternately with its write-only lane, the false-root exit
+    costs at most FALSE_ROOT_CEILING times the write (median of the
+    per-pair ratios)."""
+    skip_if_gil_mismatch(results["committed"])
+    pairs = results["fresh"]["false_root_interleaved_exit_vs_write"]
+    assert len(pairs) >= 20
+    got = statistics.median(pairs)
+    assert got <= FALSE_ROOT_CEILING, (
+        f"false-root exit costs {got:.2f}x the write-only lane (median of "
+        f"{len(pairs)} interleaved pairs); ceiling {FALSE_ROOT_CEILING:.2f}x"
     )
 
 

@@ -237,7 +237,8 @@ def compile_expr_key(
     compilation so the interpreter's lazy TypeError behavior is preserved).
     Matches ``ConditionManager._evaluate_expr_key`` exactly: a single
     unit-coefficient term returns the raw term value; otherwise terms are
-    accumulated left-to-right onto ``0.0``.
+    accumulated left-to-right onto an int ``0``, so integer state sums
+    exactly at any magnitude.
     """
     env: list = []
 
@@ -257,14 +258,14 @@ def compile_expr_key(
         return _gen_expr(node, env)
 
     try:
-        if len(expr_key) == 1 and expr_key[0][1] == 1.0:
+        if len(expr_key) == 1 and expr_key[0][1] == 1:
             source = term_src(expr_key[0][0])
         else:
             parts = [
                 f"({coeff!r}) * ({term_src(term_key)})"
                 for term_key, coeff in expr_key
             ]
-            source = "(0.0 + " + " + ".join(parts) + ")"
+            source = "(0 + " + " + ".join(parts) + ")"
         maker = _maker_for(source, len(env))
         return maker(tuple(env))
     except (_Unsupported, RecursionError, SyntaxError, ValueError):

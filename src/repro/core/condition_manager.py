@@ -22,14 +22,14 @@ increment, tag-search callbacks are pre-bound, and Waiter objects (with
 their condition variables) recycle through an inactive pool.
 
 Dependency-tracked relay (docs/performance.md): untagged (None-tag) waiters
-no longer live in the TagIndex's exhaustive-scan list.  Waiters with a known
-predicate read set are bucketed per shared-variable name; a monitor exit
-flushes its dirty set here (:meth:`relay_signal`), which queues exactly the
-waiters whose predicates could have flipped.  A relay search evaluates the
-queued waiters (plus opaque-read-set ones, every time), so the untagged
-search is O(affected), not O(waiters).  Canonical shared-expression values
-used by the tag search are additionally memoized per summed read-variable
-generation.
+live outside the TagIndex.  Waiters with a known predicate read set are
+bucketed per shared-variable name; a monitor exit flushes its dirty set
+here (:meth:`relay_signal`), which queues exactly the waiters whose
+predicates could have flipped.  A relay search evaluates the queued
+waiters (plus opaque-read-set ones, every time), so the untagged search
+is O(affected), not O(waiters).  The tag search evaluates each
+canonical shared expression directly through its compiled evaluator: one
+evaluation costs less than any bookkeeping that could skip it.
 
 One wake path: :meth:`relay_signal` is the only section-exit routine, and
 every exit runs it with no argument.  The tag-index probe is skipped while
@@ -162,12 +162,6 @@ class ConditionManager:
         #: being evaluated (``pending`` flag) — so an early-stopping relay
         #: never loses a signal.
         self._eligible: list[Waiter] = []
-        #: canonical expression key → read-variable names (None = opaque)
-        self._expr_reads: dict[Any, Optional[frozenset]] = {}
-        #: expression key → [stamp, value] memo, valid while the sum of
-        #: the read variables' generations equals ``stamp`` (any tracked
-        #: write strictly increases the sum)
-        self._expr_memo: dict[Any, list] = {}
         #: parked waiters holding a tag record: the tag-index probe runs
         #: only while this is nonzero (an empty index can find no one)
         self._tagged = 0
@@ -341,13 +335,14 @@ class ConditionManager:
         snap = config_snapshot()
         dirty = self._dirty
         # Flush the exiting section's dirty set *before* any early return:
-        # per-variable generations must advance even when nobody waits, or
-        # a memoized expression value could be revalidated against a stale
-        # stamp later.  Bump each written variable's generation and mark
-        # the readers in its bucket *pending*: a marked waiter stays queued
-        # until some search evaluates it, so a relay that signals another
-        # waiter first never drops one whose predicate may have flipped
-        # (Prop. 2).
+        # the set must start empty at the next section, and per-variable
+        # generations must count every write, waiters or not, because the
+        # Inspector and dump_waiters read them to tell a variable nobody
+        # writes from one that moves.  Bump each written variable's
+        # generation and mark the readers in its bucket *pending*: a marked
+        # waiter stays queued until some search evaluates it, so a relay
+        # that signals another waiter first never drops one whose predicate
+        # may have flipped (Prop. 2).
         if dirty:
             gens = self.var_gens
             buckets = self._dep_buckets
@@ -574,24 +569,13 @@ class ConditionManager:
         return found
 
     def _search_expr(self, expr_key: Any) -> Any:
-        m = self.metrics
-        m.tag_checks += 1
-        if self._tracked:
-            reads = self._expr_reads.get(expr_key)
-            if reads is not None and config_snapshot().track_dependencies:
-                # memo hit: the expression reads only tracked variables and
-                # none of their generations moved since the cached value
-                gens = self.var_gens
-                stamp = 0
-                for name in reads:
-                    stamp += gens.get(name, 0)
-                memo = self._expr_memo.get(expr_key)
-                if memo is not None and memo[0] == stamp:
-                    m.gen_skips += 1
-                    return memo[1]
-                value = self._evaluate_expr_key(expr_key)
-                self._expr_memo[expr_key] = [stamp, value]
-                return value
+        """The tag search's ``evaluate_expr``: one tag check, evaluated
+        through the key's compiled evaluator, or interpreted when
+        compilation was declined or ``compile_predicates`` is off."""
+        self.metrics.tag_checks += 1
+        fn = self._expr_evalers.get(expr_key)
+        if fn is not None:
+            return fn(self.monitor)
         return self._evaluate_expr_key(expr_key)
 
     def _search_pred(self, waiter: Waiter) -> bool:
@@ -632,7 +616,7 @@ class ConditionManager:
             for tag in tag_predicate(waiter.predicate.conjunctions):
                 if tag.kind is TagKind.NONE:
                     # untagged conjunctions go to the dependency-filtered
-                    # structures instead of the index's exhaustive list
+                    # structures; the index holds tagged ones only
                     if not waiter.untagged:
                         self._register_untagged(waiter)
                     continue
@@ -645,7 +629,6 @@ class ConditionManager:
                         compiled.compile_expr_key(expr_key, self._expr_cache.get)
                         if compile_ok else None
                     )
-                    self._expr_reads[expr_key] = self._expr_key_reads(expr_key)
             if waiter.records:
                 self._tagged += 1
 
@@ -668,25 +651,6 @@ class ConditionManager:
         # search, so filtering cannot disturb relay invariance (Prop. 2)
         waiter.pending = True
         self._eligible.append(waiter)
-
-    def _expr_key_reads(self, expr_key: Any) -> Optional[frozenset]:
-        """Read-variable names of a canonical expression key, or None.
-
-        ``("var", name)`` terms read exactly ``name``; other terms resolve
-        through the structural node cache and report their own read sets
-        (opaque unless a SharedExpr declares ``reads``)."""
-        reads: set = set()
-        for term_key, _coeff in expr_key:
-            if (isinstance(term_key, tuple) and len(term_key) == 2
-                    and term_key[0] == "var"):
-                reads.add(term_key[1])
-                continue
-            node = self._expr_cache.get(term_key)
-            rs = node.read_set() if node is not None else None
-            if rs is None:
-                return None
-            reads.update(rs)
-        return frozenset(reads)
 
     def _cache_expressions(self, waiter: Waiter) -> None:
         """Record (and refcount) evaluators for every sub-expression in the
@@ -765,9 +729,6 @@ class ConditionManager:
                 if n <= 0:
                     refs.pop(key, None)
                     evalers.pop(key, None)
-                    # the memo and read-set entries die with the evaluator
-                    self._expr_memo.pop(key, None)
-                    self._expr_reads.pop(key, None)
                 else:
                     refs[key] = n
             waiter.evaler_keys.clear()
@@ -829,23 +790,20 @@ class ConditionManager:
         return out
 
     def _evaluate_expr_key(self, expr_key: Any) -> Any:
-        """Evaluate the canonical shared expression identified by a key.
+        """Interpret the canonical shared expression identified by a key.
 
-        Routes through the compiled flat evaluator registered for the key
-        when one exists, otherwise interprets the key: keys produced by the
-        linear normalizer are tuples of ``(term_key, coeff)``; each term key
-        is ``("var", name)`` or ``("expr", name)``.  Non-linear fallback
-        keys are 1-tuples of a structural expression key whose first term
-        is evaluated directly.
+        Keys produced by the linear normalizer are tuples of ``(term_key,
+        coeff)``; each term key is ``("var", name)`` or ``("expr", name)``.
+        Structural fallback keys are 1-tuples of a structural expression
+        key whose term is evaluated directly.
         """
-        fn = self._expr_evalers.get(expr_key)
-        if fn is not None:
-            return fn(self.monitor)
         # Single unit-coefficient term: return the raw term value (this also
         # covers non-numeric equality keys such as object identity).
-        if len(expr_key) == 1 and expr_key[0][1] == 1.0:
+        if len(expr_key) == 1 and expr_key[0][1] == 1:
             return self._evaluate_term(expr_key[0][0])
-        total = 0.0
+        # an int start keeps integer state exact (a 0.0 start would round
+        # sums beyond 2**53)
+        total = 0
         for term_key, coeff in expr_key:
             total += coeff * self._evaluate_term(term_key)
         return total

@@ -15,7 +15,10 @@ predicate any thread can evaluate (Prop. 1).
 Expressions are normalized to a linear form ``Σ coeffᵢ·sharedᵢ + const``
 whenever possible so that predicates such as ``count + 3 <= capacity`` and
 ``count + 48 <= capacity`` share one canonical shared-expression key
-(``count - capacity``) and therefore one threshold heap (§2.4).
+(``count - capacity``) and therefore one threshold heap (§2.4).  The form
+keeps Python's numbers as written: integer constants and coefficients stay
+``int``, so the normal form of an all-integer comparison is exact at any
+magnitude (a float form rounds integers beyond 2**53).
 """
 
 from __future__ import annotations
@@ -51,8 +54,9 @@ class Expr:
 
     Subclasses implement :meth:`evaluate` against a monitor instance and
     :meth:`linear`, which returns ``(terms, const)`` — a mapping from shared
-    term keys to coefficients plus a constant offset — or ``None`` when the
-    expression is not linear in its shared terms.
+    term keys to coefficients plus a constant offset, in exact arithmetic
+    for integer constants — or ``None`` when the expression is not linear
+    in its shared terms.
     """
 
     __slots__ = ()
@@ -60,7 +64,7 @@ class Expr:
     def evaluate(self, monitor: Any) -> Any:
         raise NotImplementedError
 
-    def linear(self) -> Optional[tuple[dict[Any, float], float]]:
+    def linear(self) -> Optional[tuple[dict[Any, Any], Any]]:
         return None
 
     def key(self) -> Any:
@@ -146,7 +150,7 @@ class Const(Expr):
 
     def linear(self):
         if isinstance(self.value, Number) and not isinstance(self.value, bool):
-            return {}, float(self.value)
+            return {}, self.value
         return None
 
     def key(self):
@@ -180,7 +184,7 @@ class SharedVar(Expr):
         return getattr(monitor, self.name)
 
     def linear(self):
-        return {("var", self.name): 1.0}, 0.0
+        return {("var", self.name): 1}, 0
 
     def key(self):
         return ("var", self.name)
@@ -217,7 +221,7 @@ class SharedExpr(Expr):
         return self.fn(monitor)
 
     def linear(self):
-        return {("expr", self.name): 1.0}, 0.0
+        return {("expr", self.name): 1}, 0
 
     def key(self):
         return ("expr", self.name)
@@ -260,20 +264,20 @@ class BinOp(Expr):
         lterms, lconst = left
         rterms, rconst = right
         if self.op == "+":
-            return _merge(lterms, rterms, 1.0), lconst + rconst
+            return _merge(lterms, rterms, 1), lconst + rconst
         if self.op == "-":
-            return _merge(lterms, rterms, -1.0), lconst - rconst
+            return _merge(lterms, rterms, -1), lconst - rconst
         if self.op == "*":
             # only scalar * linear stays linear; a zero scalar annihilates
-            # the terms (keeping 0.0 coefficients would divide by zero when
+            # the terms (keeping 0 coefficients would divide by zero when
             # linear_key scales by the first coefficient)
             if not lterms:
-                if lconst == 0.0:
-                    return {}, 0.0
+                if lconst == 0:
+                    return {}, 0
                 return {k: v * lconst for k, v in rterms.items()}, lconst * rconst
             if not rterms:
-                if rconst == 0.0:
-                    return {}, 0.0
+                if rconst == 0:
+                    return {}, 0
                 return {k: v * rconst for k, v in lterms.items()}, lconst * rconst
             return None
         return None  # '%' is never linear
@@ -288,28 +292,37 @@ class BinOp(Expr):
         return f"({self.lhs!r} {self.op} {self.rhs!r})"
 
 
-def _merge(a: dict, b: dict, sign: float) -> dict:
+def _merge(a: dict, b: dict, sign: int) -> dict:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, 0.0) + sign * v
-        if out[k] == 0.0:
+        out[k] = out.get(k, 0) + sign * v
+        if out[k] == 0:
             del out[k]
     return out
 
 
-def linear_key(terms: dict[Any, float]) -> tuple:
+def exact_quotient(a: Any, b: Any) -> Any:
+    """``a / b`` kept ``int`` when both are ints and ``b`` divides ``a``
+    (so ``±1`` scaling never leaves the integers); true division otherwise."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return a / b
+
+
+def linear_key(terms: dict[Any, Any]) -> tuple:
     """Canonical hashable key for a linear combination of shared terms.
 
     The combination is scaled so its first (lexicographically smallest) term
     has coefficient +1; this makes ``count - capacity`` and
     ``2*count - 2*capacity`` share a key, and lets the comparison normalizer
-    fold the scale into the right-hand constant.
+    fold the scale into the right-hand constant.  Integer coefficients that
+    the scale divides stay ``int``.
     """
     items = sorted(terms.items(), key=lambda kv: repr(kv[0]))
     if not items:
         return ()
     scale = items[0][1]
-    return tuple((k, v / scale) for k, v in items)
+    return tuple((k, exact_quotient(v, scale)) for k, v in items)
 
 
 class _SharedNamespace:

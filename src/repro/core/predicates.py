@@ -27,6 +27,7 @@ from repro.core.expressions import (
     _EMPTY_READS,
     Const,
     Expr,
+    exact_quotient,
     linear_key,
     union_reads,
 )
@@ -41,6 +42,8 @@ MAX_DNF_CONJUNCTIONS = 256
 _UNSET = object()
 
 _NEGATE = {"==": "!=", "!=": "==", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
+#: the operator after swapping sides (or dividing by a negative scale)
+_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _EVAL = {
     "==": lambda a, b: a == b,
     "!=": lambda a, b: a != b,
@@ -203,46 +206,78 @@ class Comparison(Atom):
         Never raises, and returns only shapes the tag index can hold: it
         runs while a waiter registers, after the waiter joined the
         condition manager's lists, where a failure would leave a ghost
-        waiter.  So a numeric constant too large for a float
-        (``S.x < 10**400``) makes the atom untaggable, as does a structural
-        fallback shape that is unhashable or orders by a constant that is
-        not a real number (threshold heaps scale their keys by a float).
+        waiter.  The shape must be exact — a tag that reads false while
+        its conjunction is true hides a satisfied waiter from the relay
+        (Prop. 2) — so:
+
+        * the linear form ``Σ coeffᵢ·sharedᵢ op const`` is used when every
+          number in it is an ``int`` and scaling by the first coefficient
+          leaves the coefficients ``int`` and the constant exact (an int,
+          or a float equal to the quotient): the tag search then sums
+          integer state in exact integer arithmetic at any magnitude;
+        * otherwise (a float in the arithmetic, an inexact quotient) a
+          side compared with a constant keeps its structural form, which
+          the tag search evaluates exactly as the predicate does;
+        * anything else is untaggable, as is a numeric constant beyond
+          the float range (``S.x < 10**400``), a NaN, an unhashable shape,
+          and a threshold constant that is not a real number.
         """
         try:
-            lin_l = self.lhs.linear()
-            lin_r = self.rhs.linear()
-        except OverflowError:
+            shape = self._linear_shape() or self._structural_shape()
+            if shape is None:
+                return None
+            const = shape[2]
+            if isinstance(const, Real) and not isinstance(const, bool):
+                if const != const:
+                    return None   # NaN: a heap cannot order it
+                float(const)      # OverflowError beyond the float range
+            hash(shape)
+        except (OverflowError, TypeError):
             return None
-        if lin_l is not None and lin_r is not None:
-            terms = dict(lin_l[0])
-            for k, v in lin_r[0].items():
-                terms[k] = terms.get(k, 0.0) - v
-                if terms[k] == 0.0:
-                    del terms[k]
-            const = lin_r[1] - lin_l[1]
-            if not terms:
-                return None  # constant comparison; degenerate
-            items = sorted(terms.items(), key=lambda kv: repr(kv[0]))
-            scale = items[0][1]
-            op = self.op
-            if scale < 0 and op in ("<", "<=", ">", ">="):
-                op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-            return (linear_key(terms), op, const / scale)
-        # fall back: shared expr vs plain constant (e.g. equality on objects);
-        # expressed as a single canonical term with coefficient 1 so the key
-        # format matches the linear normalizer's.
+        return shape
+
+    def _linear_shape(self):
+        """The exact linear normal form, or None (see :meth:`_normalize`)."""
+        lin_l = self.lhs.linear()
+        lin_r = self.rhs.linear()
+        if lin_l is None or lin_r is None:
+            return None
+        terms = dict(lin_l[0])
+        for k, v in lin_r[0].items():
+            terms[k] = terms.get(k, 0) - v
+            if terms[k] == 0:
+                del terms[k]
+        const = lin_r[1] - lin_l[1]
+        if not terms:
+            return None  # a constant comparison has no linear key
+        if type(const) is not int or any(type(v) is not int
+                                         for v in terms.values()):
+            return None
+        key = linear_key(terms)
+        if any(type(coeff) is not int for _, coeff in key):
+            return None
+        scale = terms[key[0][0]]
+        bound = exact_quotient(const, scale)
+        if type(bound) is not int:
+            num, den = bound.as_integer_ratio()
+            if num * scale != const * den:
+                return None   # the float quotient rounded
+        op = self.op
+        if scale < 0:
+            op = _FLIP.get(op, op)
+        return key, op, bound
+
+    def _structural_shape(self):
+        """A side compared with a constant, as a single unit-coefficient
+        term in the linear key format, or None."""
         if isinstance(self.rhs, Const):
-            shape = (((self.lhs.key(), 1.0),), self.op, self.rhs.value)
+            shape = (((self.lhs.key(), 1),), self.op, self.rhs.value)
         elif isinstance(self.lhs, Const):
-            flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(self.op, self.op)
-            shape = (((self.rhs.key(), 1.0),), flipped, self.lhs.value)
+            shape = (((self.rhs.key(), 1),), _FLIP.get(self.op, self.op),
+                     self.lhs.value)
         else:
             return None
         if self.op not in ("==", "!=") and not isinstance(shape[2], Real):
-            return None
-        try:
-            hash(shape)
-        except TypeError:
             return None
         return shape
 

@@ -9,16 +9,21 @@ Per monitor, the condition manager keeps:
   ``>``/``>=`` tags and a max-heap for ``<``/``<=`` tags, exploiting
   monotonicity: if the root's condition fails, every descendant's fails too.
   Ties between ``>=`` and ``>`` on the same constant rank the inclusive
-  operator first, exactly as §2.4.2 specifies;
-* a plain list of None-tag records scanned exhaustively as the last resort.
+  operator first, exactly as §2.4.2 specifies.  Heap keys are the tag
+  constants themselves (negated for the max-heap, never rescaled), so the
+  heap order is the exact order of the constants and a false root rules
+  out the whole heap.
 
-Each record holds the waiters whose predicate owns a conjunction with that
-tag; multiple predicates sharing a conjunct share one record.
+Untagged (None-tag) conjunctions never reach the index: the condition
+manager files them in its dependency buckets.  Each record holds the
+waiters whose predicate owns a conjunction with that tag; multiple
+predicates sharing a conjunct share one record.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.core.tags import Tag, TagKind
@@ -26,28 +31,29 @@ from repro.core.tags import Tag, TagKind
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.waiter import Waiter
 
-_SATISFIES = {
-    "<": lambda value, key: value < key,
-    "<=": lambda value, key: value <= key,
-    ">": lambda value, key: value > key,
-    ">=": lambda value, key: value >= key,
-}
+#: threshold operator → its C comparison, called as ``holds(value, key)``
+_HOLDS = {"<": operator.lt, "<=": operator.le,
+          ">": operator.gt, ">=": operator.ge}
 
 
 class TagRecord:
     """All waiters sharing one tag identity."""
 
-    __slots__ = ("tag", "waiters")
+    __slots__ = ("tag", "key", "holds", "waiters")
 
     def __init__(self, tag: Tag):
         self.tag = tag
+        #: the tag's constant and, for a threshold tag, its comparison —
+        #: copied here so a heap probe reads two slots, not the dataclass
+        self.key = tag.key
+        self.holds = _HOLDS.get(tag.op)
         self.waiters: list["Waiter"] = []
 
     def __repr__(self):
         return f"TagRecord({self.tag}, {len(self.waiters)} waiters)"
 
 
-# Heap entries are plain tuples ``(sign*key, strictness, seq, record)`` so
+# Heap entries are plain tuples ``(key or -key, strictness, seq, record)`` so
 # heapq's sift comparisons stay in C (a class with a Python ``__lt__`` costs
 # one interpreted call per comparison — thousands per walk of a big heap).
 # Inclusive operators get strictness 0 so ``>=`` sorts before ``>`` on equal
@@ -59,16 +65,16 @@ _ENTRY_RECORD = 3
 class ThresholdHeap:
     """One heap of threshold tag records for a single shared expression."""
 
-    __slots__ = ("sign", "_heap", "_records", "_live", "_seq")
+    __slots__ = ("ascending", "_heap", "_records", "_live", "_seq")
 
     def __init__(self, ascending: bool):
-        #: ascending=True → `>`/`>=` family (check smallest key first).
-        self.sign = 1.0 if ascending else -1.0
+        #: ascending=True → `>`/`>=` family (check smallest key first)
+        self.ascending = ascending
         self._heap: list[tuple] = []
         self._records: dict[tuple, TagRecord] = {}
         #: count of records that currently hold waiters, maintained
-        #: incrementally by TagIndex.add/remove — ``len(heap)`` used to scan
-        #: the whole heap on every relay search
+        #: incrementally by TagIndex.add/remove; the search skips a heap
+        #: on this count alone
         self._live = 0
         self._seq = 0
 
@@ -79,9 +85,10 @@ class ThresholdHeap:
             self._records[tag.identity()] = rec
             strictness = 0 if tag.op in ("<=", ">=") else 1
             self._seq += 1
-            heapq.heappush(
-                self._heap, (self.sign * tag.key, strictness, self._seq, rec)
-            )
+            # negation is exact for ints and floats alike; scaling by -1.0
+            # would round integer keys beyond 2**53 and break heap order
+            key = tag.key if self.ascending else -tag.key
+            heapq.heappush(self._heap, (key, strictness, self._seq, rec))
         return rec
 
     def note_occupied(self) -> None:
@@ -102,9 +109,6 @@ class ThresholdHeap:
             self._heap = live
             heapq.heapify(self._heap)
 
-    def _live_count(self) -> int:
-        return self._live
-
     def candidates(self, value: Any) -> Iterator[TagRecord]:
         """Yield records whose tag is true for ``value``, root-first.
 
@@ -119,10 +123,8 @@ class ThresholdHeap:
         heappop, heappush = heapq.heappop, heapq.heappush
         try:
             while heap:
-                entry = heap[0]
-                rec = entry[_ENTRY_RECORD]
-                tag = rec.tag
-                if not _SATISFIES[tag.op](value, tag.key):
+                rec = heap[0][_ENTRY_RECORD]
+                if not rec.holds(value, rec.key):
                     break
                 if rec.waiters:
                     yield rec
@@ -131,26 +133,22 @@ class ThresholdHeap:
             for entry in backup:
                 heappush(heap, entry)
 
-    def __len__(self):
-        return self._live_count()
-
 
 class TagIndex:
     """The complete per-monitor tag structure."""
 
-    __slots__ = ("eq_tables", "heaps", "none_records", "_eq_records")
+    __slots__ = ("eq_tables", "heaps", "_eq_records")
 
     def __init__(self):
         #: expr_key → {constant → TagRecord}
         self.eq_tables: dict[Any, dict[Any, TagRecord]] = {}
         #: (expr_key, ascending) → ThresholdHeap
         self.heaps: dict[tuple[Any, bool], ThresholdHeap] = {}
-        #: None-tag records (exhaustive scan)
-        self.none_records: list[TagRecord] = []
         self._eq_records: dict[tuple, TagRecord] = {}
 
     # -- registration ---------------------------------------------------------
     def add(self, tag: Tag, waiter: "Waiter") -> TagRecord:
+        """File ``waiter`` under an Equivalence or Threshold ``tag``."""
         if tag.kind is TagKind.EQUIVALENCE:
             rec = self._eq_records.get(tag.identity())
             if rec is None:
@@ -159,23 +157,14 @@ class TagIndex:
                 self.eq_tables.setdefault(tag.expr_key, {})[tag.key] = rec
             rec.waiters.append(waiter)
             return rec
-        if tag.kind is TagKind.THRESHOLD:
-            ascending = tag.op in (">", ">=")
-            heap = self.heaps.get((tag.expr_key, ascending))
-            if heap is None:
-                heap = ThresholdHeap(ascending)
-                self.heaps[(tag.expr_key, ascending)] = heap
-            rec = heap.record_for(tag)
-            if not rec.waiters:
-                heap.note_occupied()
-            rec.waiters.append(waiter)
-            return rec
-        for rec in self.none_records:
-            if not rec.waiters:
-                rec.waiters.append(waiter)
-                return rec
-        rec = TagRecord(tag)
-        self.none_records.append(rec)
+        ascending = tag.op in (">", ">=")
+        heap = self.heaps.get((tag.expr_key, ascending))
+        if heap is None:
+            heap = ThresholdHeap(ascending)
+            self.heaps[(tag.expr_key, ascending)] = heap
+        rec = heap.record_for(tag)
+        if not rec.waiters:
+            heap.note_occupied()
         rec.waiters.append(waiter)
         return rec
 
@@ -194,14 +183,13 @@ class TagIndex:
                     table.pop(tag.key, None)
                     if not table:
                         del self.eq_tables[tag.expr_key]
-            elif tag.kind is TagKind.THRESHOLD and removed:
+            elif removed:
                 # ``removed`` guards the live counter: only the removal that
                 # actually emptied the record vacates it
                 heap = self.heaps.get((tag.expr_key, tag.op in (">", ">=")))
                 if heap is not None:
                     heap.note_vacated()
                     heap.prune_empty()
-            # None records are recycled in place by ``add``.
 
     # -- search ---------------------------------------------------------------
     def search(
@@ -216,41 +204,26 @@ class TagIndex:
         evaluates the waiter's full closure predicate.  Returns the first
         satisfied waiter, or None.
         """
-        # 1. Equivalence tables: one expression evaluation + one hash probe.
+        # 1. Equivalence tables: one expression evaluation + one hash probe
+        # (equal numbers hash equal, so a float value finds an int key).
         for expr_key, table in self.eq_tables.items():
-            value = evaluate_expr(expr_key)
-            rec = table.get(value)
-            if rec is None and isinstance(value, float) and value.is_integer():
-                rec = table.get(int(value))
+            rec = table.get(evaluate_expr(expr_key))
             if rec is not None:
                 for waiter in rec.waiters:
                     if predicate_true(waiter):
                         return waiter
-        # 2. Threshold heaps: monotone root-first walk.
+        # 2. Threshold heaps.  The root holds the weakest tag of its heap, so
+        # a false root ends the heap at one evaluation and one comparison;
+        # only a true root starts Algorithm 2's walk.
         for (expr_key, _asc), heap in self.heaps.items():
-            if not len(heap):
+            if not heap._live:
                 continue
             value = evaluate_expr(expr_key)
+            root = heap._heap[0][_ENTRY_RECORD]
+            if not root.holds(value, root.key):
+                continue
             for rec in heap.candidates(value):
                 for waiter in rec.waiters:
                     if predicate_true(waiter):
                         return waiter
-        # 3. None tags: exhaustive.
-        for rec in self.none_records:
-            for waiter in rec.waiters:
-                if predicate_true(waiter):
-                    return waiter
         return None
-
-    def waiter_count(self) -> int:
-        seen: set[int] = set()
-        for rec in self._iter_records():
-            for w in rec.waiters:
-                seen.add(id(w))
-        return len(seen)
-
-    def _iter_records(self) -> Iterator[TagRecord]:
-        yield from self._eq_records.values()
-        for heap in self.heaps.values():
-            yield from (e[_ENTRY_RECORD] for e in heap._heap)
-        yield from self.none_records

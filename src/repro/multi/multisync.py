@@ -260,9 +260,8 @@ class Multisynch:
                         for hook in hooks:
                             hook(m)
                     # _dirty forces the call even with nobody waiting: the
-                    # relay flush is what advances per-variable write
-                    # generations, which the relay's shared-expression memo
-                    # and the Inspector read
+                    # relay flush is what empties the dirty set and advances
+                    # the per-variable write generations the Inspector reads
                     if cm.waiters or m._dirty or cm.mode == "baseline":
                         cm.relay_signal()
                 finally:

@@ -71,10 +71,9 @@ class Config:
 
     #: Dependency-filtered relay: monitor writes are tracked per shared
     #: variable and an exit only re-evaluates untagged waiters whose
-    #: predicate read sets intersect the exit's dirty set (plus memoizes
-    #: shared-expression values per write generation).  On by default; turn
-    #: off to A/B the exhaustive untagged scan — correctness is identical,
-    #: only the amount of redundant re-evaluation changes.
+    #: predicate read sets intersect the exit's dirty set.  On by default;
+    #: turn off to A/B the exhaustive untagged scan — correctness is
+    #: identical, only the amount of redundant re-evaluation changes.
     track_dependencies: bool = True
 
     #: Poison a monitor (``BrokenMonitorError`` for all current and future

@@ -54,10 +54,9 @@ class Metrics:
     tasks_combined: int = 0     #: tasks executed by a combiner (not the server)
     steal_batches: int = 0      #: queue batch-steals by the executor (Fig. 3.2)
     steal_items: int = 0        #: tasks moved by those steals (items/batch ratio)
-    gen_skips: int = 0          #: relay shared-expression evaluations served
-                                #: from a generation memo — skipped work (reads
-                                #: 0 in global_condition_metrics, which keeps
-                                #: the field for the e2e tracer)
+    gen_skips: int = 0          #: always 0; kept because the e2e
+                                #: benchmark's tracer reads it (as
+                                #: ``global.gen_skips``)
     relay_dirty_skips: int = 0  #: parked untagged waiters a relay search did
                                 #: *not* re-evaluate because no variable in
                                 #: their read set was written since they last

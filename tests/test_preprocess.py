@@ -125,7 +125,7 @@ class TestBasicRewrite:
         time.sleep(0.05)
         with q._lock:
             records = list(q._cond_mgr.index.heaps.values())
-            waiters_tags = [len(h) for h in records]
+            waiters_tags = [h._live for h in records]
         q.put("x")
         t.join(10)
         assert any(waiters_tags), "take()'s waituntil must land in a threshold heap"

@@ -117,30 +117,10 @@ class TestSearchOrdering:
         found = _search(index, FakeMonitor(x=4))
         assert found is weq
 
-    def test_none_tags_scanned_last(self):
-        calls = []
-
-        def truthy():
-            calls.append(1)
-            return True
-
-        index, (wfn, weq) = _index_with(truthy, S.x == 4)
-        found = _search(index, FakeMonitor(x=4))
-        assert found is weq
-        assert not calls   # equivalence matched first, opaque never evaluated
-
     def test_threshold_search_finds_satisfiable(self):
         index, (w1, w2, w3) = _index_with(S.x >= 10, S.x >= 3, S.x >= 7)
         found = _search(index, FakeMonitor(x=5))
         assert found is w2
-
-    def test_none_tag_recycled(self):
-        index, (w1,) = _index_with(lambda: True)
-        index.remove(w1.records[0], w1)
-        index2_waiter = _waiter(lambda: True)
-        rec = index.add(Tag(TagKind.NONE), index2_waiter)
-        assert rec is w1.records[0]     # in-place reuse
-        assert len(index.none_records) == 1
 
 
 @settings(max_examples=60, deadline=None)
