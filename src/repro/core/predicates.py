@@ -189,7 +189,7 @@ class Comparison(Atom):
     so a predicate that is already true when checked never pays for it.
     """
 
-    __slots__ = ("lhs", "op", "rhs", "_shape", "_cmp")
+    __slots__ = ("lhs", "op", "rhs", "_shape", "_exact", "_cmp")
 
     def __init__(self, lhs: Expr, op: str, rhs: Expr):
         if op not in _EVAL:
@@ -199,6 +199,7 @@ class Comparison(Atom):
         self.rhs = rhs
         self._cmp = _EVAL[op]
         self._shape = _UNSET
+        self._exact = _UNSET
 
     def _normalize(self):
         """Return ``(expr_key, op, const)`` or None when untaggable.
@@ -214,7 +215,10 @@ class Comparison(Atom):
           number in it is an ``int`` and scaling by the first coefficient
           leaves the coefficients ``int`` and the constant exact (an int,
           or a float equal to the quotient): the tag search then sums
-          integer state in exact integer arithmetic at any magnitude;
+          integer state in exact integer arithmetic at any magnitude.
+          Over other state the rearranged form may round differently from
+          the comparison as written, so :attr:`tag_exact` reads False and
+          the tag search trusts such a key only for an ``int`` value;
         * otherwise (a float in the arithmetic, an inexact quotient) a
           side compared with a constant keeps its structural form, which
           the tag search evaluates exactly as the predicate does;
@@ -301,6 +305,19 @@ class Comparison(Atom):
         if shape is _UNSET:
             shape = self._shape = self._normalize()
         return shape
+
+    @property
+    def tag_exact(self) -> bool:
+        """Whether :attr:`tag_shape` is the comparison as written: its
+        structural shape, not a rearranged linear form (``S.x + 1 >= k``
+        tags as ``x >= k - 1``, ``S.a - S.b >= 1`` as a two-term sum).  A
+        rearranged key is exact over ints only."""
+        exact = self._exact
+        if exact is _UNSET:
+            shape = self.tag_shape
+            exact = self._exact = (shape is None
+                                   or shape == self._structural_shape())
+        return exact
 
     def read_set(self):
         return union_reads(self.lhs.read_set(), self.rhs.read_set())

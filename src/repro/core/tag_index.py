@@ -18,6 +18,14 @@ Untagged (None-tag) conjunctions never reach the index: the condition
 manager files them in its dependency buckets.  Each record holds the
 waiters whose predicate owns a conjunction with that tag; multiple
 predicates sharing a conjunct share one record.
+
+A probe the index cannot trust rules nobody out.  When evaluating a key,
+testing a root, probing a table or walking a heap raises (state of a type
+the tag's constant does not compare or hash with), or a rearranged key
+(``Tag.exact`` False: ``S.x + 1 >= k`` filed as ``x >= k - 1``) reads a
+value that is not an ``int``, every waiter of that table or heap goes
+through the full-predicate check instead, which poisons and signals a
+waiter whose own predicate raises.
 """
 
 from __future__ import annotations
@@ -134,16 +142,26 @@ class ThresholdHeap:
                 heappush(heap, entry)
 
 
+def _first_true(records, predicate_true) -> "Waiter | None":
+    """The first waiter of ``records`` whose full predicate holds: the
+    search's fallback when a probe rules nobody out."""
+    for rec in records:
+        for waiter in rec.waiters:
+            if predicate_true(waiter):
+                return waiter
+    return None
+
+
 class TagIndex:
     """The complete per-monitor tag structure."""
 
     __slots__ = ("eq_tables", "heaps", "_eq_records")
 
     def __init__(self):
-        #: expr_key → {constant → TagRecord}
-        self.eq_tables: dict[Any, dict[Any, TagRecord]] = {}
-        #: (expr_key, ascending) → ThresholdHeap
-        self.heaps: dict[tuple[Any, bool], ThresholdHeap] = {}
+        #: (expr_key, exact) → {constant → TagRecord}
+        self.eq_tables: dict[tuple[Any, bool], dict[Any, TagRecord]] = {}
+        #: (expr_key, ascending, exact) → ThresholdHeap
+        self.heaps: dict[tuple[Any, bool, bool], ThresholdHeap] = {}
         self._eq_records: dict[tuple, TagRecord] = {}
 
     # -- registration ---------------------------------------------------------
@@ -154,14 +172,15 @@ class TagIndex:
             if rec is None:
                 rec = TagRecord(tag)
                 self._eq_records[tag.identity()] = rec
-                self.eq_tables.setdefault(tag.expr_key, {})[tag.key] = rec
+                self.eq_tables.setdefault((tag.expr_key, tag.exact),
+                                          {})[tag.key] = rec
             rec.waiters.append(waiter)
             return rec
-        ascending = tag.op in (">", ">=")
-        heap = self.heaps.get((tag.expr_key, ascending))
+        where = (tag.expr_key, tag.op in (">", ">="), tag.exact)
+        heap = self.heaps.get(where)
         if heap is None:
-            heap = ThresholdHeap(ascending)
-            self.heaps[(tag.expr_key, ascending)] = heap
+            heap = ThresholdHeap(where[1])
+            self.heaps[where] = heap
         rec = heap.record_for(tag)
         if not rec.waiters:
             heap.note_occupied()
@@ -178,15 +197,17 @@ class TagIndex:
             tag = record.tag
             if tag.kind is TagKind.EQUIVALENCE:
                 self._eq_records.pop(tag.identity(), None)
-                table = self.eq_tables.get(tag.expr_key)
+                where = (tag.expr_key, tag.exact)
+                table = self.eq_tables.get(where)
                 if table is not None:
                     table.pop(tag.key, None)
                     if not table:
-                        del self.eq_tables[tag.expr_key]
+                        del self.eq_tables[where]
             elif removed:
                 # ``removed`` guards the live counter: only the removal that
                 # actually emptied the record vacates it
-                heap = self.heaps.get((tag.expr_key, tag.op in (">", ">=")))
+                heap = self.heaps.get(
+                    (tag.expr_key, tag.op in (">", ">="), tag.exact))
                 if heap is not None:
                     heap.note_vacated()
                     heap.prune_empty()
@@ -201,29 +222,52 @@ class TagIndex:
 
         ``evaluate_expr(expr_key)`` evaluates the canonical shared
         expression against the monitor state; ``predicate_true(waiter)``
-        evaluates the waiter's full closure predicate.  Returns the first
-        satisfied waiter, or None.
+        evaluates the waiter's full closure predicate, and never raises: a
+        predicate that raises poisons its waiter and reads True.  Returns
+        the first satisfied waiter, or None.
+
+        A probe that raises, or a rearranged key read over a value that is
+        not an ``int``, is inconclusive: every waiter of that table or heap
+        is checked through ``predicate_true`` (see the module docstring).
         """
         # 1. Equivalence tables: one expression evaluation + one hash probe
         # (equal numbers hash equal, so a float value finds an int key).
-        for expr_key, table in self.eq_tables.items():
-            rec = table.get(evaluate_expr(expr_key))
-            if rec is not None:
-                for waiter in rec.waiters:
-                    if predicate_true(waiter):
-                        return waiter
+        for (expr_key, exact), table in self.eq_tables.items():
+            try:
+                value = evaluate_expr(expr_key)
+                if exact or type(value) is int:
+                    rec = table.get(value)
+                    if rec is not None:
+                        for waiter in rec.waiters:
+                            if predicate_true(waiter):
+                                return waiter
+                    continue
+            except Exception:  # noqa: BLE001 — the waiters' predicates decide
+                pass
+            waiter = _first_true(table.values(), predicate_true)
+            if waiter is not None:
+                return waiter
         # 2. Threshold heaps.  The root holds the weakest tag of its heap, so
         # a false root ends the heap at one evaluation and one comparison;
         # only a true root starts Algorithm 2's walk.
-        for (expr_key, _asc), heap in self.heaps.items():
+        for (expr_key, _asc, exact), heap in self.heaps.items():
             if not heap._live:
                 continue
-            value = evaluate_expr(expr_key)
-            root = heap._heap[0][_ENTRY_RECORD]
-            if not root.holds(value, root.key):
-                continue
-            for rec in heap.candidates(value):
-                for waiter in rec.waiters:
-                    if predicate_true(waiter):
-                        return waiter
+            try:
+                value = evaluate_expr(expr_key)
+                if exact or type(value) is int:
+                    root = heap._heap[0][_ENTRY_RECORD]
+                    if not root.holds(value, root.key):
+                        continue
+                    for rec in heap.candidates(value):
+                        for waiter in rec.waiters:
+                            if predicate_true(waiter):
+                                return waiter
+                    continue
+            except Exception:  # noqa: BLE001 — the waiters' predicates decide
+                pass
+            waiter = _first_true([e[_ENTRY_RECORD] for e in heap._heap],
+                                 predicate_true)
+            if waiter is not None:
+                return waiter
         return None

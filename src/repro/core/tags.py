@@ -17,8 +17,7 @@ conjunct share the tag record via the tag's identity tuple.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core.predicates import Atom, Comparison
 
@@ -31,17 +30,25 @@ class TagKind(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class Tag:
-    """The paper's four-tuple ``(M, expr, key, op)`` (Def. 9)."""
+class Tag(NamedTuple):
+    """The paper's four-tuple ``(M, expr, key, op)`` (Def. 9), plus whether
+    the key is the comparison as written (see :attr:`Comparison.tag_exact`):
+    the tag index files rearranged keys apart, and trusts them only for an
+    ``int`` value.
+
+    A plain immutable tuple: every parked waiter's registration builds its
+    tags, and a tuple builds in less than half the time of a frozen
+    dataclass."""
 
     kind: TagKind
     expr_key: Any = None      #: canonical shared-expression identity
     key: Any = None           #: closure-captured constant
     op: Optional[str] = None  #: comparison operator for threshold tags
+    exact: bool = True        #: False for a rearranged linear key
 
     def identity(self) -> tuple:
-        return (self.kind, self.expr_key, self.key, self.op)
+        """The key equal tags share one record under: the tag itself."""
+        return self
 
 
 def tag_conjunction(conj: tuple[Atom, ...]) -> Tag:
@@ -55,13 +62,15 @@ def tag_conjunction(conj: tuple[Atom, ...]) -> Tag:
             continue
         expr_key, op, const = shape
         if op == "==":
-            return Tag(TagKind.EQUIVALENCE, expr_key, const, None)
+            return Tag(TagKind.EQUIVALENCE, expr_key, const, None,
+                       atom.tag_exact)
         if op in _THRESHOLD_OPS and threshold is None:
             try:
                 hash(const)
             except TypeError:
                 continue
-            threshold = Tag(TagKind.THRESHOLD, expr_key, const, op)
+            threshold = Tag(TagKind.THRESHOLD, expr_key, const, op,
+                            atom.tag_exact)
     if threshold is not None:
         return threshold
     return Tag(TagKind.NONE)

@@ -16,6 +16,12 @@ as the paper's ``waituntil`` does: once on entry and once after each
 wakeup, with every lock held.  Closure (Def. 2) makes that check sound, so
 no atom value is memoized across a park.
 
+A tree is immutable once built.  Closure freezes every local value it
+captured, so one predicate object may serve any number of waits on any
+number of threads: its atoms compile on reuse, and each node computes its
+monitor set on the first :meth:`~GlobalNode.monitors` call and returns that
+same frozenset from then on.
+
 :func:`compute_critical` implements the paper's Algorithm 3: given a global
 predicate that is false in the current state, derive a *critical clause* — a
 pure disjunction of local predicates that (1) is false now, (2) must become
@@ -60,6 +66,13 @@ class GlobalNode:
         return self.negate()
 
 
+def _union_monitors(children: Sequence[GlobalNode]) -> frozenset[Monitor]:
+    """The monitor set of a connective: computed once per node, on its first
+    ``monitors()`` call (the tree never changes after construction, and a
+    racing second computation stores an equal frozenset)."""
+    return frozenset().union(*(c.monitors() for c in children))
+
+
 def _as_global(node) -> GlobalNode:
     if isinstance(node, GlobalNode):
         return node
@@ -76,12 +89,13 @@ class GlobalAtom(GlobalNode):
 class LocalPredicate(GlobalAtom):
     """An atom local to one monitor: evaluable under that monitor's lock."""
 
-    __slots__ = ("monitor", "predicate", "_eval")
+    __slots__ = ("monitor", "predicate", "_eval", "_monitors")
 
     def __init__(self, monitor: Monitor, condition: BoolNode | Callable[..., bool] | bool):
         self.monitor = monitor
         self.predicate = condition if isinstance(condition, Predicate) else Predicate(condition)
         self._eval: Callable[[Monitor], bool] | None = None
+        self._monitors: frozenset[Monitor] | None = None
 
     def evaluate(self) -> bool:
         # global conditions are re-checked on every related monitor exit
@@ -99,7 +113,10 @@ class LocalPredicate(GlobalAtom):
         return ev(self.monitor)
 
     def monitors(self) -> frozenset[Monitor]:
-        return frozenset((self.monitor,))
+        mons = self._monitors
+        if mons is None:
+            mons = self._monitors = frozenset((self.monitor,))
+        return mons
 
     def negate(self) -> "LocalPredicate":
         return LocalPredicate(self.monitor, self.predicate.root.negate())
@@ -148,7 +165,7 @@ class ComplexPredicate(GlobalAtom):
 
 
 class GAnd(GlobalNode):
-    __slots__ = ("children",)
+    __slots__ = ("children", "_monitors")
 
     def __init__(self, children: Sequence[GlobalNode]):
         flat: list[GlobalNode] = []
@@ -156,6 +173,7 @@ class GAnd(GlobalNode):
             c = _as_global(c)
             flat.extend(c.children) if isinstance(c, GAnd) else flat.append(c)
         self.children = tuple(flat)
+        self._monitors: frozenset[Monitor] | None = None
 
     def evaluate(self) -> bool:
         # a plain loop, not all(genexpr): every global wait starts here
@@ -165,7 +183,10 @@ class GAnd(GlobalNode):
         return True
 
     def monitors(self) -> frozenset[Monitor]:
-        return frozenset().union(*(c.monitors() for c in self.children))
+        mons = self._monitors
+        if mons is None:
+            mons = self._monitors = _union_monitors(self.children)
+        return mons
 
     def negate(self) -> "GOr":
         return GOr([c.negate() for c in self.children])
@@ -179,7 +200,7 @@ class GAnd(GlobalNode):
 
 
 class GOr(GlobalNode):
-    __slots__ = ("children",)
+    __slots__ = ("children", "_monitors")
 
     def __init__(self, children: Sequence[GlobalNode]):
         flat: list[GlobalNode] = []
@@ -187,6 +208,7 @@ class GOr(GlobalNode):
             c = _as_global(c)
             flat.extend(c.children) if isinstance(c, GOr) else flat.append(c)
         self.children = tuple(flat)
+        self._monitors: frozenset[Monitor] | None = None
 
     def evaluate(self) -> bool:
         for c in self.children:
@@ -195,7 +217,10 @@ class GOr(GlobalNode):
         return False
 
     def monitors(self) -> frozenset[Monitor]:
-        return frozenset().union(*(c.monitors() for c in self.children))
+        mons = self._monitors
+        if mons is None:
+            mons = self._monitors = _union_monitors(self.children)
+        return mons
 
     def negate(self) -> "GAnd":
         return GAnd([c.negate() for c in self.children])

@@ -16,12 +16,16 @@ Fast-path structure (the same monitor sets are re-acquired in loops):
 
 * ``_flatten`` caches the flattened, dedup-checked, id-sorted monitor tuple
   keyed by the object identities of the collected arguments, so a repeated
-  ``multisynch(a, b)`` skips the dedupe/sort entirely.  Cached values hold
-  strong references, which pins the ``id()`` keys for the entry's lifetime
-  (no stale-identity hits); the cache is bounded and cleared on overflow.
+  ``multisynch(a, b)`` — or ``multisynch([a, b])``, which keys the same —
+  skips the dedupe/sort entirely.  Cached values hold strong references,
+  which pins the ``id()`` keys for the entry's lifetime (no stale-identity
+  hits); the cache is bounded and cleared on overflow.
 * :class:`MonitorSet` (``monitor_set(a, b)``) makes the caching explicit:
   flatten once, then ``with ms.synch():`` re-acquires the precomputed tuple
   with no argument walking at all.
+* Each cache entry and each MonitorSet carries the block's monitors as a
+  frozenset too, so ``wait_until``'s coverage check is one subset test
+  against the predicate's own cached monitor set.
 * ``wait_until`` evaluates the condition directly, once on entry and once
   after each wakeup, with every lock held; it keeps no memo across a park.
 
@@ -61,9 +65,9 @@ _active = threading.local()
 _STRATEGIES = manager.STRATEGIES
 
 #: identity-keyed flatten cache: tuple(id(arg monitors) in arg order) →
-#: ``(ascending, descending)`` id-sorted monitor tuples.  Values hold strong
-#: refs, so the id() keys stay pinned to these exact objects while the entry
-#: lives.
+#: ``(ascending, descending, members)``: the id-sorted monitor tuples and
+#: their frozenset.  Values hold strong refs, so the id() keys stay pinned
+#: to these exact objects while the entry lives.
 _flatten_cache: dict[tuple, tuple] = {}
 _FLATTEN_CACHE_CAP = 1024
 #: benchmarks/tests flip this off to measure the uncached path
@@ -81,12 +85,13 @@ def _collect(objs: Iterable, out: list[Monitor]) -> None:
             raise TypeError(f"multisynch expects Monitor objects, got {obj!r}")
 
 
-def _flatten(objs: Iterable) -> tuple[tuple, tuple]:
+def _flatten(objs: Iterable) -> tuple[tuple, tuple, frozenset]:
     """Accept monitors and (nested) sequences of monitors, as the paper
     allows arrays of monitor objects as multisynch parameters.  Duplicate
     references to the same monitor collapse to one acquisition; the result
     is ``(ascending, descending)`` tuples sorted by monitor id (acquisition
-    / release order, §4.1), cached by the collected objects' identities.
+    / release order, §4.1) and the set they hold (``wait_until``'s coverage
+    check), cached by the collected objects' identities.
 
     The hot shape — every argument already a Monitor — keys the cache
     straight off the argument identities, so a repeated ``multisynch(a, b)``
@@ -124,12 +129,12 @@ def _flatten(objs: Iterable) -> tuple[tuple, tuple]:
                 f"{prior!r} and {m!r}"
             )
     ascending = tuple(seen[k] for k in sorted(seen))
-    pair = (ascending, ascending[::-1])
+    entry = (ascending, ascending[::-1], frozenset(ascending))
     if enabled and ascending:   # never cache the empty (error) shape
         if len(_flatten_cache) >= _FLATTEN_CACHE_CAP:
             _flatten_cache.clear()
-        _flatten_cache[key] = pair
-    return pair
+        _flatten_cache[key] = entry
+    return entry
 
 
 class MonitorSet:
@@ -141,10 +146,10 @@ class MonitorSet:
     ascending-id order of §4.1 — a MonitorSet changes *cost*, never order.
     """
 
-    __slots__ = ("monitors", "_rev")
+    __slots__ = ("monitors", "_rev", "_members")
 
     def __init__(self, *objs):
-        self.monitors, self._rev = _flatten(objs)
+        self.monitors, self._rev, self._members = _flatten(objs)
         if not self.monitors:
             raise ValueError("monitor_set needs at least one monitor")
 
@@ -170,19 +175,24 @@ def monitor_set(*objs) -> MonitorSet:
 class Multisynch:
     """Context manager holding several monitors at once."""
 
-    __slots__ = ("monitors", "_rev", "strategy", "_held")
+    __slots__ = ("monitors", "_rev", "_members", "strategy", "_held")
 
     def __init__(self, *objs, strategy: str = "CC"):
-        # hot shape: all-monitor args already in the flatten cache — probe
-        # inline so the repeated case pays one tuple build and one dict get
+        # hot shape: all-monitor args, or one list or tuple of monitors,
+        # already in the flatten cache — probe inline so the repeated case
+        # pays one tuple build and one dict get.  A lone sequence keys by
+        # its elements, as _flatten keys what it collects.
         if _cache_enabled:
-            for obj in objs:
+            args = objs
+            if len(objs) == 1 and isinstance(objs[0], (list, tuple)):
+                args = objs[0]
+            for obj in args:
                 if not isinstance(obj, Monitor):
                     break
             else:
-                pair = _flatten_cache.get(tuple(map(id, objs)))
-                if pair is not None:
-                    self.monitors, self._rev = pair
+                entry = _flatten_cache.get(tuple(map(id, args)))
+                if entry is not None:
+                    self.monitors, self._rev, self._members = entry
                     self.strategy = (
                         strategy if strategy in _STRATEGIES
                         else manager.validate_strategy(strategy)
@@ -193,8 +203,9 @@ class Multisynch:
             ms = objs[0]                   # precomputed fast path
             self.monitors = ms.monitors
             self._rev = ms._rev
+            self._members = ms._members
         else:
-            self.monitors, self._rev = _flatten(objs)
+            self.monitors, self._rev, self._members = _flatten(objs)
         if not self.monitors:
             raise ValueError("multisynch needs at least one monitor")
         self.strategy = (strategy if strategy in _STRATEGIES
@@ -342,9 +353,9 @@ class Multisynch:
                 "multisynch.wait_until takes a global predicate; build one "
                 "with local(monitor, ...) / complex_pred(...)"
             )
-        held = set(self.monitors)
-        if not condition.monitors() <= held:
-            missing = [m.monitor_id for m in condition.monitors() - held]
+        involved = condition.monitors()
+        if not involved <= self._members:
+            missing = sorted(m.monitor_id for m in involved - self._members)
             raise PredicateError(
                 f"global predicate involves monitors {missing} not held by "
                 "this multisynch block"

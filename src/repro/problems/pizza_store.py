@@ -34,6 +34,9 @@ MAX_NEED = 6
 #: that cooks actually block (the regime Figs. 4.7/4.8 measure)
 RESTOCK = 6
 CAPACITY = 60
+#: bound on a store's plan table, cleared when full (as multisynch's
+#: flatten cache is): a store fed ever-new recipes never grows past it
+PLAN_CACHE_CAP = 1024
 
 
 def make_recipes(seed: int = 11) -> list[dict[int, int]]:
@@ -103,19 +106,42 @@ class TMStore:
 
 
 class MonitorStore:
-    """AS/AV/CC variants: one monitor per ingredient + multisynch."""
+    """AS/AV/CC variants: one monitor per ingredient + multisynch.
+
+    A cook's lock tuple and global predicate depend only on its recipe, so
+    the store builds them once per recipe, in a plan table keyed by
+    ``tuple(recipe.items())``.  A global predicate is immutable and closed
+    (Def. 2), so one predicate serves every cook of that recipe on every
+    thread, and its atoms compile on reuse.
+    """
 
     def __init__(self, strategy: str):
         self.ingredients = [Ingredient() for _ in range(N_INGREDIENTS)]
         self.strategy = strategy
+        self._plans: dict[tuple, tuple] = {}
+
+    def _plan(self, recipe: dict[int, int]) -> tuple:
+        """``(locks, condition)`` for ``recipe``, built on first use.
+
+        Filling the table is an idempotent single store: two threads racing
+        on one new recipe each build a plan, and either one serves."""
+        key = tuple(recipe.items())
+        plan = self._plans.get(key)
+        if plan is None:
+            ings = self.ingredients
+            condition = None
+            for i, n in key:
+                atom = local(ings[i], S.quantity >= n)
+                condition = atom if condition is None else (condition & atom)
+            plan = (tuple(ings[i] for i, _ in key), condition)
+            if len(self._plans) >= PLAN_CACHE_CAP:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
 
     def cook(self, recipe: dict[int, int]) -> None:
-        objs = [self.ingredients[i] for i in recipe]
-        condition = None
-        for i, n in recipe.items():
-            atom = local(self.ingredients[i], S.quantity >= n)
-            condition = atom if condition is None else (condition & atom)
-        with multisynch(objs, strategy=self.strategy) as ms:
+        locks, condition = self._plan(recipe)
+        with multisynch(locks, strategy=self.strategy) as ms:
             ms.wait_until(condition)
             for i, n in recipe.items():
                 self.ingredients[i].consume(n)
@@ -131,12 +157,8 @@ class MonitorStore:
         """
         if deadline is not None and time.monotonic() >= deadline:
             raise WaitTimeoutError("cook deadline expired before acquisition")
-        objs = [self.ingredients[i] for i in recipe]
-        condition = None
-        for i, n in recipe.items():
-            atom = local(self.ingredients[i], S.quantity >= n)
-            condition = atom if condition is None else (condition & atom)
-        with multisynch(objs, strategy=self.strategy) as ms:
+        locks, condition = self._plan(recipe)
+        with multisynch(locks, strategy=self.strategy) as ms:
             ms.wait_until(condition, deadline=deadline, cancel=cancel)
             for i, n in recipe.items():
                 self.ingredients[i].consume(n)

@@ -5,7 +5,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Monitor, S
@@ -32,6 +32,9 @@ class Board(Monitor):
     def wait_eq(self, k):
         self.wait_until(S.x == k)
 
+    def wait_at_least(self, k):
+        self.wait_until(S.x >= k)
+
     def wait_linear(self, k):
         # x + y >= k : a linear combination threshold
         self.wait_until(S.x + S.y >= k)
@@ -48,6 +51,13 @@ def _spawn(fn, *args):
     t = threading.Thread(target=fn, args=args, daemon=True)
     t.start()
     return t
+
+
+def _until_parked(monitor, n=1, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while monitor._cond_mgr.waiting_count() < n:
+        assert time.monotonic() < deadline, "waiter never parked"
+        time.sleep(0.001)
 
 
 class TestRelaySelection:
@@ -123,6 +133,49 @@ class TestFutileWakeups:
         assert woken.wait(5)
         snap = b.metrics.snapshot()
         assert snap["signals"] >= 1
+
+
+class TestRaisingTagProbe:
+    """A tag probe that raises rules no waiter out: the waiters of that heap
+    or table go through their full predicates, which poison the waiter whose
+    predicate raises, and the writer's method returns normally."""
+
+    def test_raising_heap_root_poisons_the_waiter_not_the_writer(self):
+        b = Board()
+        outcome = []
+
+        def waiter():
+            try:
+                b.wait_at_least(5)
+                outcome.append("returned")
+            except TypeError as exc:
+                outcome.append(exc)
+
+        t = _spawn(waiter)
+        _until_parked(b)
+        b.set_xy("a", 0)     # '"a" >= 5' raises in the heap's root test
+        t.join(5)
+        assert not t.is_alive()
+        assert len(outcome) == 1 and isinstance(outcome[0], TypeError)
+        assert b.x == "a"
+
+    def test_unhashable_equivalence_probe_leaves_a_false_waiter_parked(self):
+        b = Board()
+        woke = threading.Event()
+
+        def waiter():
+            b.wait_eq(3)
+            woke.set()
+
+        t = _spawn(waiter)
+        _until_parked(b)
+        b.set_xy([], 0)      # the table's dict.get([]) raises TypeError
+        assert not woke.wait(0.1)   # [] == 3 is False: still parked
+        assert b._cond_mgr.waiting_count() == 1
+        b.set_xy(3, 0)
+        assert woke.wait(5)
+        t.join(5)
+        assert not t.is_alive()
 
 
 class TestHousekeeping:
@@ -242,6 +295,49 @@ class TestExactIntegerTags:
             assert mgr.relay_signal() is w
             mgr._deregister(w)
 
+    @pytest.mark.parametrize("condition, writes", [
+        (S.a + 1 >= S.b,
+         {"a": 1.6029371294069682e16, "b": 1.6029371294069684e16}),
+        (S.x + 1 >= _BIG + 4, {"x": float(_BIG + 2)}),
+    ], ids=["two_terms", "one_term"])
+    def test_rearranged_key_over_float_state_is_not_trusted(
+            self, compile_mode, condition, writes):
+        """``S.a + 1 >= S.b`` files as ``a - b >= -1`` and ``S.x + 1 >= k``
+        as ``x >= k - 1``: exact over ints, not over floats, where ``+ 1``
+        rounds.  A float probe value defers to the full predicate."""
+        m = _cells()
+        mgr = m._cond_mgr
+        with m._lock:
+            m.b = 2              # park while the predicate is false
+            mgr.relay_signal()
+            w = _parked(m, condition)
+            assert mgr.relay_signal() is None
+            for name, value in writes.items():
+                setattr(m, name, value)
+            assert w.predicate.evaluate(m)
+            assert mgr.relay_signal() is w
+            mgr._deregister(w)
+
+    def test_bare_key_keeps_trusting_its_tag_over_floats(self, compile_mode):
+        """Only a rearranged key pays for float state: a false root of the
+        bare ``S.x >= k`` heap still rules its waiter out unevaluated."""
+        m = _cells()
+        mgr = m._cond_mgr
+        with m._lock:
+            bare = _parked(m, S.x >= 10)
+            shifted = _parked(m, S.x + 1 >= 10)
+            m.x = 2.5
+            evals = mgr.metrics.predicate_evals
+            assert mgr.relay_signal() is None
+            assert mgr.metrics.predicate_evals - evals == 1   # `shifted` only
+            m.x = 9.5
+            assert mgr.relay_signal() is shifted
+            mgr._deregister(shifted)
+            assert mgr.relay_signal() is None
+            m.x = 10.0
+            assert mgr.relay_signal() is bare
+            mgr._deregister(bare)
+
     def test_max_heap_orders_keys_a_float_cannot_tell_apart(self):
         """``2**53`` and ``2**53 + 1`` round to one float: the max-heap must
         still root the weaker tag, ``x < 2**53 + 1``."""
@@ -264,11 +360,13 @@ _near = st.one_of(
 )
 _SIDES = {
     "x": lambda: S.x,
+    "x+1": lambda: S.x + 1,
     "x+2": lambda: S.x + 2,
     "2x": lambda: 2 * S.x,
     "a-b": lambda: S.a - S.b,
     "b-a": lambda: S.b - S.a,
     "a+b": lambda: S.a + S.b,
+    "a+1-b": lambda: S.a + 1 - S.b,
 }
 _OPS = {"==": operator.eq, "<": operator.lt, "<=": operator.le,
         ">": operator.gt, ">=": operator.ge}
@@ -286,6 +384,38 @@ def test_relay_finds_every_true_tagged_predicate_near_2_53(waits, writes):
     """Threshold and equivalence populations over integers near and beyond
     2**53: after every write and relay, the relay returns a waiter while
     any unsignaled parked predicate is true, and only a true one."""
+    _relay_finds_every_true_predicate(waits, writes)
+
+
+#: float state just around 2**53, where a float's spacing reaches 2 and
+#: ``x + 1`` rounds to even: up from ``2**53 + 2``, down from ``2**53`` and
+#: ``2**53 + 4``
+_near_float = st.one_of(st.integers(-2, 2),
+                        st.integers(_BIG, _BIG + 4)).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    waits=st.lists(st.tuples(st.sampled_from(sorted(_SIDES)),
+                             st.sampled_from(sorted(_OPS)),
+                             st.one_of(st.integers(-2, 2),
+                                       st.integers(_BIG - 1, _BIG + 5))),
+                   min_size=1, max_size=8),
+    writes=st.lists(st.tuples(st.sampled_from("xab"), _near_float),
+                    min_size=1, max_size=10),
+)
+@example(waits=[("x+1", ">", _BIG + 3)], writes=[("x", float(_BIG + 2))])
+@example(waits=[("a+1-b", "==", 0)],
+         writes=[("b", float(_BIG + 4)), ("a", float(_BIG + 2))])
+def test_relay_finds_every_true_tagged_predicate_near_2_53_floats(
+        waits, writes):
+    """The same populations over float state near 2**53, where a
+    rearranged key rounds differently from its predicate: the relay still
+    finds every true predicate."""
+    _relay_finds_every_true_predicate(waits, writes)
+
+
+def _relay_finds_every_true_predicate(waits, writes):
     m = _cells()
     mgr = m._cond_mgr
     with m._lock:

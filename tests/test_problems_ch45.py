@@ -1,12 +1,23 @@
 """Integration tests: chapter-4/5 workloads (multi-object + composition)."""
 
+import itertools
+
 import pytest
 
+from repro.core.predicates import Predicate
+from repro.multi.global_predicates import GAnd, LocalPredicate
 from repro.problems.des import run_des
 from repro.problems.dining import run_dining_multi
 from repro.problems.genome import make_genome, run_genome
 from repro.problems.multicast import run_multicast
-from repro.problems.pizza_store import make_recipes, make_store, run_pizza_store
+from repro.problems.pizza_store import (
+    N_INGREDIENTS,
+    PLAN_CACHE_CAP,
+    MonitorStore,
+    make_recipes,
+    make_store,
+    run_pizza_store,
+)
 from repro.problems.take_and_put import run_take_and_put
 
 MULTI = ["gl", "tm", "as", "av", "cc"]
@@ -43,6 +54,43 @@ class TestPizzaStore:
     def test_store_factory_rejects_unknown(self):
         with pytest.raises(ValueError):
             make_store("zz")
+
+    @staticmethod
+    def _stocked_cook(store, recipe):
+        for i, n in recipe.items():
+            store.supply(i, n)
+        store.cook(recipe)
+
+    def test_recipe_reuse_builds_no_predicates(self, monkeypatch):
+        """A recipe's global predicate is built once per store: later cooks
+        of it, on any thread, reuse that one closed predicate."""
+        store = MonitorStore("CC")
+        recipe = make_recipes()[0]
+        self._stocked_cook(store, recipe)
+        built = []
+        for cls in (LocalPredicate, Predicate, GAnd):
+            init = cls.__init__
+
+            def counting(self, *args, _init=init, _cls=cls, **kwargs):
+                built.append(_cls.__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        for _ in range(10):
+            self._stocked_cook(store, recipe)
+        assert built == []
+        assert all(ing.quantity == 0 for ing in store.ingredients)
+
+    def test_plan_table_stays_within_its_cap(self):
+        store = MonitorStore("CC")
+        pairs = itertools.combinations(range(N_INGREDIENTS), 2)
+        recipes = [{i: a, j: b} for (i, j) in pairs
+                   for a in range(1, 5) for b in range(1, 5)]
+        assert len(recipes) > PLAN_CACHE_CAP
+        for recipe in recipes[:PLAN_CACHE_CAP + 10]:
+            self._stocked_cook(store, recipe)
+            assert len(store._plans) <= PLAN_CACHE_CAP
+        assert all(ing.quantity == 0 for ing in store.ingredients)
 
 
 class TestTakeAndPut:
