@@ -33,17 +33,34 @@ evaluation costs less than any bookkeeping that could skip it.
 
 One wake path: :meth:`relay_signal` is the only section-exit routine, and
 every exit runs it with no argument.  The tag-index probe is skipped while
-no parked waiter holds a tag record (an empty index can find no one);
-everything else — flush, drain, poison, async delivery — runs on every
-exit.
+no parked waiter holds a tag record (an empty index can find no one).
+The reap and the dirty-set flush run on every exit; the search, and with
+it poison routing and async delivery, waits while a baton is in flight.
+
+One baton in flight (docs/algorithms.md §2): a threaded waiter the relay
+signaled holds the monitor's baton until its thread resumes holding the
+lock, or until it deregisters.  While the manager's baton count is
+nonzero a section exit skips the search: the holder is already the
+active thread relay invariance (Prop. 2) asks for, and it runs the relay
+itself when it exits, re-parks or abandons.
+
+Registration plans: what a park derives from its predicate alone — the
+tags (Algorithm 1), the shared sub-expression nodes, the compiled
+evaluator of each tagged expression key — is built once per
+:class:`~repro.core.predicates.Predicate` (:func:`registration_plan`,
+:func:`tag_evaler`) and kept on it, so a reused predicate (a closed
+``waituntil`` site) parks by appending, filing its tags and bumping
+refcounts.  The manager's
+refcounted node and evaluator tables stay: they serve the interpreter
+fallback and bound memory for predicates built per call.
 
 Free-threading contract (no-GIL audit, docs/performance.md): every mutable
 structure here — ``var_gens`` bumps, ``_dirty`` flushes, dependency-bucket
-marking, the ``_eligible`` queue, waiter (de)registration — is only
-touched while the caller holds the monitor lock, so none of it depends on
-GIL atomicity.  The deliberate lock-free reads are the diagnostic
-snapshots (:meth:`dump_waiters`, :meth:`obligation_view`), which are racy
-by design and tolerate skew.
+marking, the ``_eligible`` queue, waiter (de)registration, the baton
+count — is only touched while the caller holds the monitor lock, so none
+of it depends on GIL atomicity.  The deliberate lock-free reads are the
+diagnostic snapshots (:meth:`dump_waiters`, :meth:`obligation_view`),
+which are racy by design and tolerate skew.
 
 Waiterless (async) waiters: the asyncio frontend (:mod:`repro.aio`)
 registers :class:`~repro.core.waiter.AsyncWaiter` records through
@@ -65,7 +82,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core import compiled
 from repro.core.expressions import Expr
@@ -86,6 +103,81 @@ SIGNALING_MODES = ("autosynch", "autosynch_t", "baseline")
 #: §2.5.1 keeps at most 2n inactive predicate records for n live threads:
 #: the inactive Waiter pool is capped at this multiple of the live waiters
 _POOL_FACTOR = 2
+
+
+class RegistrationPlan(NamedTuple):
+    """What registering a waiter derives from its predicate alone."""
+
+    #: ``(key, node)`` for every shared sub-expression node of the
+    #: predicate's comparisons whose structural key is hashable: a waiter
+    #: pins each key in the manager's node cache
+    nodes: tuple
+    #: the tags of the tagged conjunctions (Algorithm 1), in order: a
+    #: waiter pins each tag's expression key in the evaluator table
+    tags: tuple
+    #: whether some conjunction is untagged
+    untagged: bool
+    #: each tag's compiled key evaluator (None where compilation
+    #: declined), or None until a registration first needs one
+    evalers: Optional[tuple] = None
+
+
+def registration_plan(predicate: Predicate) -> RegistrationPlan:
+    """``predicate``'s registration plan, built at its first park.
+
+    The plan depends on the predicate alone, so every monitor shares it.
+    It is never mutated: :func:`tag_evaler` publishes the compiled
+    evaluators by storing a new plan, and two threads that build it at
+    once store equal plans.
+    """
+    plan = predicate._plan
+    if plan is not None:
+        return plan
+    nodes = []
+    for conj in predicate.conjunctions:
+        for atom in conj:
+            if not isinstance(atom, Comparison):
+                continue
+            for node in atom.shared_subexpressions():
+                try:
+                    key = node.key()
+                    hash(key)
+                except TypeError:
+                    continue  # unhashable constant keys are never looked up
+                nodes.append((key, node))
+    tags = []
+    untagged = False
+    for tag in tag_predicate(predicate.conjunctions):
+        if tag.kind is TagKind.NONE:
+            untagged = True
+        else:
+            tags.append(tag)
+    plan = predicate._plan = RegistrationPlan(tuple(nodes), tuple(tags),
+                                              untagged)
+    return plan
+
+
+def tag_evaler(predicate: Predicate, i: int) -> Optional[Callable[[Any], Any]]:
+    """The compiled evaluator of the expression key of ``predicate``'s
+    ``i``-th tag, or None where compilation declined it.
+
+    The first call compiles every tagged key of the predicate, resolving
+    terms against its own nodes (they carry the structural keys of the
+    manager's node cache), and keeps the evaluators in its plan.  A
+    manager asks only for a key its evaluator table lacks, so a predicate
+    built per call compiles nothing while another parked waiter's entry
+    covers its key.
+    """
+    plan = predicate._plan
+    evalers = plan.evalers
+    if evalers is None:
+        resolve = dict(plan.nodes).get
+        by_key = {tag.expr_key: None for tag in plan.tags}
+        for key in by_key:
+            by_key[key] = compiled.compile_expr_key(key, resolve)
+        evalers = tuple(by_key[tag.expr_key] for tag in plan.tags)
+        predicate._plan = plan._replace(evalers=evalers)
+    return evalers[i]
 
 
 class ConditionManager:
@@ -165,6 +257,9 @@ class ConditionManager:
         #: parked waiters holding a tag record: the tag-index probe runs
         #: only while this is nonzero (an empty index can find no one)
         self._tagged = 0
+        #: threaded waiters signaled and not yet resumed (``Waiter.baton``):
+        #: the relay search is skipped while this is nonzero
+        self._batons = 0
 
     # ------------------------------------------------------------------ wait
     def wait_blocking(self, predicate: Predicate,
@@ -251,7 +346,7 @@ class ConditionManager:
                             cv_wait(remaining)
                     else:
                         cv_wait(remaining)
-                waiter.signaled = False
+                self._resume(waiter)
                 m.bump("wakeups")
                 if waiter.poison is not None:
                     # our predicate blew up while a signaler evaluated it;
@@ -271,10 +366,21 @@ class ConditionManager:
                 # Abandoned wait (timeout / cancel / poison): between the
                 # cv-wait return and this point the thread holds the monitor
                 # lock, so if it *was* signaled, that signal is the relay
-                # baton and no other signal can have raced in.  With the
-                # waiter now deregistered, re-running the relay hands the
-                # baton to some other satisfied waiter — no signal is lost.
+                # baton and no other signal can have raced in.  The
+                # deregistration released the baton; re-running the relay
+                # hands it to some other satisfied waiter — no signal is
+                # lost.
                 self.relay_signal()
+
+    def _resume(self, waiter: Waiter) -> None:
+        """The waiter's thread is back from its condition wait, holding the
+        lock: it is the active thread now, and relays when it exits,
+        re-parks or leaves, so its baton (if the relay handed it one) is
+        released."""
+        waiter.signaled = False
+        if waiter.baton:
+            waiter.baton = False
+            self._batons -= 1
 
     def _wait_baseline(self, ev: Callable[[Any], Any],
                        deadline: Optional[float] = None,
@@ -328,6 +434,9 @@ class ConditionManager:
         monitor or goes to wait.  Returns the signaled waiter (already
         marked) or None.  Guarantees relay invariance (Prop. 2): if some
         waiter's predicate is true, an active thread exists afterwards.
+        While a signaled thread has not resumed (a baton is in flight) that
+        thread is the active one: the exit reaps and flushes, then returns
+        None without searching.
         """
         m = self.metrics
         if self._async_reap:
@@ -365,7 +474,7 @@ class ConditionManager:
                 self._broadcast_cv.notify_all()
             m.bump("broadcasts")
             return None
-        if not self.waiters:
+        if self._batons or not self.waiters:
             return None
         if _chaos.enabled:
             _chaos.fire("relay", self.monitor)
@@ -385,7 +494,7 @@ class ConditionManager:
         if waiter is not None:
             if _chaos.enabled:
                 _chaos.fire("signal", waiter)
-            waiter.signal()
+            self._hand_baton(waiter)
             m.bump("signals")
         return waiter
 
@@ -414,9 +523,17 @@ class ConditionManager:
                 # (the loop re-raises it from the awaited future)
                 self._deliver_async(waiter)
             else:
-                waiter.signal()
+                self._hand_baton(waiter)
             n += 1
         return n
+
+    def _hand_baton(self, waiter: Waiter) -> None:
+        """Signal a threaded waiter (caller holds the lock); it holds the
+        baton until it resumes holding the lock or deregisters."""
+        if not waiter.baton:
+            waiter.baton = True
+            self._batons += 1
+        waiter.signal()
 
     # ------------------------------------------------------- async waiters
     def register_async(self, waiter: Waiter) -> None:
@@ -608,29 +725,35 @@ class ConditionManager:
 
     def _register(self, waiter: Waiter) -> None:
         self.waiters.append(waiter)
-        if self.mode == "autosynch":
-            self._cache_expressions(waiter)
-            evalers = self._expr_evalers
-            evaler_refs = self._evaler_refs
-            compile_ok = config_snapshot().compile_predicates
-            for tag in tag_predicate(waiter.predicate.conjunctions):
-                if tag.kind is TagKind.NONE:
-                    # untagged conjunctions go to the dependency-filtered
-                    # structures; the index holds tagged ones only
-                    if not waiter.untagged:
-                        self._register_untagged(waiter)
-                    continue
-                waiter.records.append(self.index.add(tag, waiter))
-                expr_key = tag.expr_key
-                evaler_refs[expr_key] = evaler_refs.get(expr_key, 0) + 1
-                waiter.evaler_keys.append(expr_key)
-                if expr_key not in evalers:
-                    evalers[expr_key] = (
-                        compiled.compile_expr_key(expr_key, self._expr_cache.get)
-                        if compile_ok else None
-                    )
-            if waiter.records:
-                self._tagged += 1
+        if self.mode != "autosynch":
+            return
+        predicate = waiter.predicate
+        plan = registration_plan(predicate)
+        # pin every sub-expression node by structural key, so the tag
+        # search can interpret a canonical shared expression from its key
+        cache, refs = self._expr_cache, self._expr_refs
+        for key, node in plan.nodes:
+            if key not in cache:
+                cache[key] = node
+            refs[key] = refs.get(key, 0) + 1
+        waiter.plan = plan
+        if plan.tags:
+            add = self.index.add
+            records = waiter.records
+            evalers, evaler_refs = self._expr_evalers, self._evaler_refs
+            for i, tag in enumerate(plan.tags):
+                records.append(add(tag, waiter))
+                key = tag.expr_key
+                evaler_refs[key] = evaler_refs.get(key, 0) + 1
+                if key not in evalers:
+                    evalers[key] = (
+                        tag_evaler(predicate, i)
+                        if config_snapshot().compile_predicates else None)
+            self._tagged += 1
+        if plan.untagged:
+            # untagged conjunctions go to the dependency-filtered
+            # structures; the index holds tagged ones only
+            self._register_untagged(waiter)
 
     def _register_untagged(self, waiter: Waiter) -> None:
         waiter.untagged = True
@@ -652,28 +775,12 @@ class ConditionManager:
         waiter.pending = True
         self._eligible.append(waiter)
 
-    def _cache_expressions(self, waiter: Waiter) -> None:
-        """Record (and refcount) evaluators for every sub-expression in the
-        waiter's predicate, keyed by structural key, so the tag search can
-        evaluate a canonical shared expression from its key alone."""
-        cache = self._expr_cache
-        refs = self._expr_refs
-        keys = waiter.expr_keys
-        for conj in waiter.predicate.conjunctions:
-            for atom in conj:
-                if not isinstance(atom, Comparison):
-                    continue
-                for node in atom.shared_subexpressions():
-                    try:
-                        key = node.key()
-                        hash(key)
-                    except TypeError:
-                        continue  # unhashable constant keys are never looked up
-                    cache.setdefault(key, node)
-                    refs[key] = refs.get(key, 0) + 1
-                    keys.append(key)
-
     def _deregister(self, waiter: Waiter) -> None:
+        if waiter.baton:
+            # left while signaled (timeout, cancel, poison, a raise inside
+            # the wait): the baton is released before any re-relay
+            waiter.baton = False
+            self._batons -= 1
         try:
             self.waiters.remove(waiter)
         except ValueError:
@@ -712,26 +819,26 @@ class ConditionManager:
                         del buckets[name]
         # drop the waiter's pins on the expression caches; the entry (and
         # its compiled evaluator) dies with its last referencing waiter
-        if waiter.expr_keys:
+        plan = waiter.plan
+        if plan is not None:
+            waiter.plan = None
             cache, refs = self._expr_cache, self._expr_refs
-            for key in waiter.expr_keys:
+            for key, _ in plan.nodes:
                 n = refs.get(key, 0) - 1
                 if n <= 0:
                     refs.pop(key, None)
                     cache.pop(key, None)
                 else:
                     refs[key] = n
-            waiter.expr_keys.clear()
-        if waiter.evaler_keys:
             evalers, refs = self._expr_evalers, self._evaler_refs
-            for key in waiter.evaler_keys:
+            for tag in plan.tags:
+                key = tag.expr_key
                 n = refs.get(key, 0) - 1
                 if n <= 0:
                     refs.pop(key, None)
                     evalers.pop(key, None)
                 else:
                     refs[key] = n
-            waiter.evaler_keys.clear()
         # recycle the whole waiter, condition variable included (paper
         # §2.5.1): cap the inactive pool at factor × live waiters, minimum
         # a small constant.  Async waiters are never pooled — they carry no

@@ -410,7 +410,12 @@ class Monitor(metaclass=MonitorMeta):
     @unmonitored
     def signal_hint(self) -> None:
         """Explicitly run the relay rule now (rarely needed; the framework
-        runs it on every monitor exit and before every wait)."""
+        runs it on every monitor exit and before every wait).
+
+        Like an exit, it signals no one while a baton is in flight: a
+        thread the relay already signaled has not yet re-acquired the
+        lock, and that thread relays again when it exits, re-parks or
+        abandons its wait."""
         if self._cond_mgr.depth <= 0:
             raise NotOwnerError("signal_hint called outside a monitor method")
         self._cond_mgr.relay_signal()

@@ -428,9 +428,17 @@ class Predicate:
     Predicate object, or a parked waiter the relay rule keeps re-checking —
     is compiled on its second use, so single-shot predicates never pay the
     synthesis cost.
+
+    ``_plan`` is the condition manager's registration plan for this
+    predicate (tags, expression nodes, compiled key evaluators), built at
+    its first park and reused by every later park on any monitor: an
+    immutable tuple, replaced once when its key evaluators are compiled.
+    Each store publishes a whole plan, and two threads that build it at
+    once store equal ones.
     """
 
-    __slots__ = ("root", "conjunctions", "_evaluator", "_uses", "_read_set")
+    __slots__ = ("root", "conjunctions", "_evaluator", "_uses", "_read_set",
+                 "_plan")
 
     def __init__(self, condition: BoolNode | Callable[..., bool] | bool):
         self.root = _as_bool(condition)
@@ -438,6 +446,7 @@ class Predicate:
         self._evaluator: Callable[[Any], Any] | None = None
         self._uses = 0
         self._read_set: Any = _UNSET
+        self._plan: Any = None
 
     def evaluate(self, monitor: Any) -> bool:
         return self.root.evaluate(monitor)

@@ -2,10 +2,17 @@
 
 Each blocked ``wait_until`` call owns a Waiter: its closure predicate (and
 the predicate's compiled evaluator), the tag records it was indexed under,
-the expression-cache keys it pinned, and a private condition variable bound
-to the monitor lock so that the relay rule can wake exactly this thread
-(the framework never broadcasts; relay invariance makes ``signalAll``
-unnecessary).
+the registration plan whose expression-cache keys it pinned, and a private
+condition variable bound to the monitor lock so that the relay rule can
+wake exactly this thread (the framework never broadcasts; relay
+invariance makes ``signalAll`` unnecessary).
+
+A signaled waiter whose thread has not yet re-acquired the lock holds the
+monitor's relay *baton* (``baton``): the condition manager skips its
+relay search while any baton is in flight, because that thread is already
+the active thread relay invariance (Prop. 2) asks for.  The flag is its
+own slot, never inferred from ``signaled``, so the manager's baton count
+falls exactly once per signal.
 
 Waiters are *recycled*: when a waiter deregisters, the condition manager
 returns the whole object — condition variable included — to an inactive
@@ -35,9 +42,9 @@ class Waiter:
     """One blocked thread's registration with a condition manager."""
 
     __slots__ = (
-        "predicate", "eval_fn", "cv", "signaled", "records",
-        "expr_keys", "evaler_keys", "thread_id", "poison",
-        "read_set", "untagged", "pending", "deliver",
+        "predicate", "eval_fn", "cv", "signaled", "records", "plan",
+        "thread_id", "poison", "read_set", "untagged", "pending",
+        "deliver", "baton",
     )
 
     def __init__(self, predicate: Predicate, lock: threading.RLock,
@@ -46,10 +53,6 @@ class Waiter:
         # is built only for a brand-new Waiter (or an explicit ``cv``)
         self.cv = cv if cv is not None else threading.Condition(lock)
         self.records: list["TagRecord"] = []
-        #: structural keys this waiter pinned in the manager's node cache
-        self.expr_keys: list[Any] = []
-        #: canonical expression keys whose compiled evaluators it pinned
-        self.evaler_keys: list[Any] = []
         self.reset(predicate)
 
     def reset(self, predicate: Predicate) -> None:
@@ -59,6 +62,10 @@ class Waiter:
         #: available, tree-walking ``Predicate.evaluate`` otherwise
         self.eval_fn: Callable[[Any], Any] = predicate.evaluator()
         self.signaled = False
+        #: the predicate's registration plan while registered (tag-index
+        #: mode): its node and expression keys are what this waiter pinned
+        #: in the manager's refcounted tables
+        self.plan = None
         self.thread_id = threading.get_ident()
         #: exception raised while another thread evaluated this predicate;
         #: re-raised in the owning thread when it wakes
@@ -74,6 +81,9 @@ class Waiter:
         #: action to run instead of a CV notify; None means a parked thread
         #: owns this record and the relay signals its condition variable
         self.deliver = None
+        #: True from the relay's signal until this thread resumes holding
+        #: the lock or deregisters (the condition manager's baton count)
+        self.baton = False
 
     def retire(self) -> None:
         """Drop references held for the finished wait (before pooling)."""
@@ -106,10 +116,12 @@ class Waiter:
             reads_desc = "?"  # opaque: may read any shared variable
         else:
             reads_desc = "{" + ",".join(sorted(reads)) + "}"
-        return f"tid={self.thread_id} on {what} reads={reads_desc}"
+        baton = " holds baton" if self.baton else ""
+        return f"tid={self.thread_id} on {what} reads={reads_desc}{baton}"
 
     def __repr__(self):
-        return f"Waiter(tid={self.thread_id}, {self.predicate!r})"
+        baton = ", holds baton" if self.baton else ""
+        return f"Waiter(tid={self.thread_id}, {self.predicate!r}{baton})"
 
 
 class AsyncWaiter(Waiter):
@@ -122,6 +134,8 @@ class AsyncWaiter(Waiter):
     waiter satisfied (or poisons it) it *claims* the record and runs
     ``deliver(outcome)`` — for the asyncio frontend, a
     ``loop.call_soon_threadsafe`` hop that resolves an ``asyncio.Future``.
+    It never holds the relay baton: no thread will resume for it, so the
+    signaler delivers it and relays on its behalf.
 
     ``claimed`` arbitrates the signal/abandon race without the monitor
     lock: the signaler claims while holding the lock, a timeout or
@@ -138,8 +152,6 @@ class AsyncWaiter(Waiter):
                  deliver: Callable[[Optional[BaseException]], None]):
         self.cv = None  # type: ignore[assignment] — nothing parks on this
         self.records = []
-        self.expr_keys = []
-        self.evaler_keys = []
         self.reset(predicate)
         self.deliver = deliver
         self.claimed = AtomicFlag()

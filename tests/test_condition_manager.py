@@ -1,4 +1,5 @@
-"""Focused tests for the condition manager's relay search and expr keys."""
+"""Focused tests for the condition manager's relay search and expr keys,
+the one-baton rule and registration plans."""
 
 import operator
 import threading
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import Monitor, S
+from repro.core import Monitor, S, compiled, synchronized
+from repro.core import condition_manager as cm_module
 from repro.core.expressions import SharedExpr
 from repro.core.predicates import Predicate
 from repro.core.waiter import Waiter
+from repro.preprocess import monitor_compile, waituntil
 from repro.runtime.config import get_config
+from repro.runtime.errors import BrokenMonitorError, WaitTimeoutError
 
 
 class Board(Monitor):
@@ -433,3 +437,259 @@ def _relay_finds_every_true_predicate(waits, writes):
                 assert got in true, (name, value, true)
                 parked.remove(got)
                 mgr._deregister(got)
+
+
+# ------------------------------------------------------- one baton in flight
+
+
+class Pair(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.x = 0
+        self.y = 0
+
+    def wait_x(self, **kw):
+        self.wait_until(S.x == 1, **kw)
+
+    def wait_y(self):
+        self.wait_until(S.y == 1)
+
+
+def _outcome(fn, box, key):
+    """Run ``fn`` and record what it returned or raised under ``key``."""
+    def run():
+        try:
+            fn()
+            box[key] = "returned"
+        except Exception as exc:  # noqa: BLE001 — the test inspects it
+            box[key] = exc
+    return run
+
+
+class TestBaton:
+    """A threaded waiter the relay signaled holds the monitor's baton until
+    its thread resumes holding the lock or deregisters; while one is in
+    flight a section exit signals no one and searches nothing."""
+
+    def _two_true_waiters(self):
+        m = _cells()
+        mgr = m._cond_mgr
+        with m._lock:
+            weq = _parked(m, S.x == 1)     # tagged (equivalence)
+            wne = _parked(m, S.x != 0)     # untagged, dependency-bucketed
+        with synchronized(m):
+            m.x = 1                        # both predicates true at once
+        held = [w for w in (weq, wne) if w.signaled]
+        assert len(held) == 1, "the exit signals exactly one waiter"
+        holder = held[0]
+        return m, holder, wne if holder is weq else weq
+
+    def test_second_exit_signals_no_one_and_searches_nothing(self):
+        m, holder, other = self._two_true_waiters()
+        mgr = m._cond_mgr
+        met = mgr.metrics
+        checks, evals, signals = met.tag_checks, met.predicate_evals, \
+            met.signals
+        with synchronized(m):
+            pass                           # a second exit, no resume
+        assert not other.signaled
+        assert met.signals == signals
+        assert met.tag_checks == checks
+        assert met.predicate_evals == evals
+        assert holder.baton and not other.baton and mgr._batons == 1
+        with m._lock:
+            mgr._deregister(holder)
+            mgr._deregister(other)
+        assert mgr._batons == 0
+
+    def test_baton_passes_when_the_holder_deregisters(self):
+        m, holder, other = self._two_true_waiters()
+        mgr = m._cond_mgr
+        assert holder.baton and mgr._batons == 1
+        with m._lock:
+            mgr._deregister(holder)        # as a timed-out waiter leaves
+        assert mgr._batons == 0 and not holder.baton
+        with synchronized(m):
+            pass                           # no new write
+        assert other.signaled and other.baton and mgr._batons == 1
+        with m._lock:
+            mgr._deregister(other)
+        assert mgr._batons == 0
+
+    def test_baton_passes_when_the_holder_resumes(self):
+        b = Board()
+        woke = []
+        threads = [_spawn(lambda: (b.wait_at_least(1), woke.append(1)))
+                   for _ in range(2)]
+        _until_parked(b, 2)
+        b.set_xy(1, 0)   # signals one; its own exit signals the other
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads)
+        assert woke == [1, 1]
+        assert b._cond_mgr._batons == 0
+
+    def test_abandon_while_holding_the_baton(self):
+        p = Pair()
+        mgr = p._cond_mgr
+        box = {}
+        t1 = _spawn(_outcome(lambda: p.wait_x(timeout=0.5), box, "w1"))
+        t2 = _spawn(_outcome(p.wait_y, box, "w2"))
+        _until_parked(p, 2)
+        with synchronized(p):
+            p.x = 1
+            p.signal_hint()                # W1 now holds the baton
+            holders = [w for w in mgr.waiters if w.baton]
+            assert [w.thread_id for w in holders] == [t1.ident]
+            p.x = 0
+            p.y = 1
+            time.sleep(0.8)                # past W1's deadline
+        t1.join(5)
+        t2.join(5)
+        assert not t1.is_alive() and not t2.is_alive()
+        assert isinstance(box["w1"], WaitTimeoutError)
+        assert box["w2"] == "returned"
+        assert mgr._batons == 0 and mgr.waiting_count() == 0
+
+    def test_mark_broken_with_a_baton_in_flight_wakes_every_waiter(self):
+        p = Pair()
+        mgr = p._cond_mgr
+        box = {}
+        threads = [_spawn(_outcome(p.wait_x, box, "x1")),
+                   _spawn(_outcome(p.wait_x, box, "x2")),
+                   _spawn(_outcome(p.wait_y, box, "y"))]
+        _until_parked(p, 3)
+        with synchronized(p):
+            p.x = 1
+            p.signal_hint()
+            assert mgr._batons == 1
+            p.mark_broken()
+            # every threaded waiter now holds a baton, the first one once
+            assert mgr._batons == 3
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(box) == ["x1", "x2", "y"]
+        assert all(isinstance(v, BrokenMonitorError) for v in box.values())
+        assert mgr._batons == 0 and mgr.waiting_count() == 0
+
+    def test_a_hand_set_signaled_flag_holds_no_baton(self):
+        m = _cells()
+        mgr = m._cond_mgr
+        with m._lock:
+            w = _parked(m, S.x == 1)
+            w.signaled = True              # a direct poke, not a signal
+            mgr._deregister(w)
+            assert mgr._batons == 0
+            w2 = _parked(m, S.x == 1)
+            m.x = 1
+            checks = mgr.metrics.tag_checks
+            assert mgr.relay_signal() is w2   # the relay still searches
+            assert mgr.metrics.tag_checks > checks
+            mgr._deregister(w2)
+        assert mgr._batons == 0
+
+    def test_dump_waiters_marks_the_baton_holder(self):
+        b = Board()
+        t = _spawn(lambda: b.wait_eq(7))
+        _until_parked(b)
+        with synchronized(b):
+            b.x = 7
+            b.signal_hint()
+            lines = b.dump_waiters()
+            view = b._cond_mgr.obligation_view()
+        assert len(lines) == 1
+        assert "holds baton" in lines[0] and f"tid={t.ident}" in lines[0]
+        assert "holds baton" in view[0][2]
+        t.join(5)
+        assert not t.is_alive()
+        assert b.dump_waiters() == []
+
+
+# ------------------------------------------------------ registration plans
+
+
+@monitor_compile
+class Slot(Monitor):
+    def __init__(self):
+        super().__init__()
+        self.count = 0
+
+    def put(self):
+        self.count += 1
+
+    def take(self):
+        waituntil(self.count > 0)
+        self.count -= 1
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestRegistrationPlan:
+    def _park_once(self, s):
+        t = _spawn(s.take)
+        _until_parked(s)
+        s.put()
+        t.join(5)
+        assert not t.is_alive()
+
+    def test_a_closed_site_parks_on_its_cached_plan(self, monkeypatch):
+        s = Slot()
+        mgr = s._cond_mgr
+        self._park_once(s)                 # the first park builds the plan
+        calls = {}
+        _counting(monkeypatch, cm_module, "tag_predicate", calls)
+        _counting(monkeypatch, compiled, "compile_expr_key", calls)
+        waits = mgr.metrics.waits
+        for _ in range(10):
+            self._park_once(s)
+        assert mgr.metrics.waits == waits + 10
+        assert calls == {}
+        assert mgr._expr_evalers == {} and mgr._expr_refs == {}
+
+    def test_a_per_call_predicate_registers_and_wakes(self):
+        b = Board()
+        mgr = b._cond_mgr
+        woke = []
+        threads = [_spawn(lambda k=k: (b.wait_at_least(k), woke.append(k)))
+                   for k in (3, 5)]
+        _until_parked(b, 2)
+        assert len(mgr._expr_evalers) == 1     # one shared key, refcounted
+        b.set_xy(5, 0)
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(woke) == [3, 5]
+        assert mgr._expr_evalers == {} and mgr._expr_refs == {}
+        assert mgr._expr_cache == {} and mgr._evaler_refs == {}
+
+    def test_compile_predicates_off_files_no_key_evaluator(self):
+        cfg = get_config()
+        prior = cfg.compile_predicates
+        pred = Predicate(S.x + S.a >= 2)
+        m = _cells()
+        mgr = m._cond_mgr
+        try:
+            for compile_on in (False, True):
+                cfg.compile_predicates = compile_on
+                with m._lock:
+                    w = Waiter(pred, m._lock)
+                    mgr._register(w)
+                    fns = list(mgr._expr_evalers.values())
+                    m.x = 2
+                    assert mgr.relay_signal() is w
+                    mgr._deregister(w)
+                    m.x = 0
+                    mgr.relay_signal()
+                assert len(fns) == 1
+                assert (fns[0] is not None) is compile_on
+        finally:
+            cfg.compile_predicates = prior

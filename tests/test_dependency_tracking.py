@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.expressions import S
 from repro.core.monitor import Monitor
 from repro.core.predicates import Predicate
-from repro.core.waiter import Waiter
+from repro.core.waiter import AsyncWaiter, Waiter
 from repro.resilience.inspector import MonitorStall
 from repro.runtime.config import get_config
 from repro.runtime.errors import WaitTimeoutError
@@ -163,7 +163,9 @@ def test_tracking_off_falls_back_to_exhaustive_scan():
 def test_queued_waiters_survive_an_early_stopping_relay():
     """note_writes marks both; the relay that signals the first must leave
     the second queued — evaluated (and signaled) by the next relay even
-    though no further write occurs (Prop. 2 under filtering)."""
+    though no further write occurs (Prop. 2 under filtering).  The first
+    holds the baton until its thread resumes and leaves, so that happens
+    between the two relays."""
     get_config().track_dependencies = True
     c = Cell()
     mgr = c._cond_mgr
@@ -174,10 +176,10 @@ def test_queued_waiters_survive_an_early_stopping_relay():
         c.x = 1
         first = mgr.relay_signal()
         assert first in (w1, w2)
+        mgr._deregister(first)  # its thread resumed and left
         second = mgr.relay_signal()  # no new write
         assert second in (w1, w2) and second is not first
-        mgr._deregister(w1)
-        mgr._deregister(w2)
+        mgr._deregister(second)
 
 
 def test_opaque_waiters_are_always_rechecked():
@@ -300,6 +302,123 @@ def test_filtered_relay_matches_exhaustive_search(ops):
     scan wakes, step for step, on schedules mixing parks, writes,
     abandonment, and poisoned predicates."""
     assert _drive(ops, track=True) == _drive(ops, track=False)
+
+
+# ---------------------------------------- one baton in flight (hypothesis)
+
+
+class _BatonModel:
+    """Drive one manager through a drawn schedule of thread-level steps and
+    check the baton rule after each.
+
+    ``holding`` is the model's own account of the threaded waiters the
+    manager signaled and that have not resumed; the manager's count must
+    equal its size.  A threaded park registers and relays as
+    ``wait_blocking`` does; a resume does what the woken thread does (back
+    from its condition wait: return, re-park, or leave on poison); an
+    abandon is a timeout, cancel or raise (deregister, re-relay); an async
+    abandon claims the record for the next relay to reap.
+    """
+
+    def __init__(self):
+        self.m = Board()
+        self.mgr = self.m._cond_mgr
+        self.holding: set = set()
+
+    def threaded(self) -> list:
+        return [w for w in self.mgr.waiters if w.deliver is None]
+
+    def relay(self) -> None:
+        w = self.mgr.relay_signal()
+        if w is not None:
+            assert w.deliver is None, "an async waiter took the baton"
+            self.holding.add(w)
+        self.check_exit()
+
+    def leave(self, w) -> None:
+        self.mgr._deregister(w)
+        self.holding.discard(w)
+
+    def step(self, op) -> None:
+        mgr, kind = self.mgr, op[0]
+        if kind == "park":
+            pred = _build_pred(op[1])
+            if op[2]:
+                mgr.register_async(AsyncWaiter(pred, lambda outcome: None))
+            else:
+                mgr._register(Waiter(pred, self.m._lock))
+                self.relay()
+        elif kind == "write":
+            setattr(self.m, f"v{op[1]}", op[2])
+        elif kind == "exit":
+            self.relay()
+        elif kind == "resume" and self.threaded():
+            threaded = self.threaded()
+            w = threaded[op[1] % len(threaded)]
+            mgr._resume(w)
+            self.holding.discard(w)
+            try:
+                ok = w.poison is None and bool(w.eval_fn(self.m))
+            except Exception:
+                ok = False
+                w.poison = RuntimeError("raised in its own thread")
+            if ok:
+                self.leave(w)          # satisfied: returns into its section
+            elif w.poison is not None:
+                self.leave(w)          # re-raises, then re-relays
+                self.relay()
+            else:
+                self.relay()           # futile: passes the baton, re-parks
+        elif kind == "abandon" and mgr.waiters:
+            w = mgr.waiters[op[1] % len(mgr.waiters)]
+            if w.deliver is not None:
+                mgr.abandon_async(w)
+            else:
+                self.leave(w)
+                self.relay()
+        elif kind == "poison":
+            self.holding.update(self.threaded())
+            mgr.poison_all(lambda: RuntimeError("poisoned"))
+        self.check_count()
+
+    def check_count(self) -> None:
+        mgr = self.mgr
+        assert mgr._batons >= 0
+        assert mgr._batons == len(self.holding)
+        assert self.holding <= set(self.threaded())
+        assert all(w.baton for w in self.holding)
+
+    def check_exit(self) -> None:
+        if self.mgr._batons:
+            return
+        for w in self.mgr.waiters:
+            assert w.signaled or not _oracle_true(w, self.m), (
+                "no baton in flight, yet a satisfied waiter is parked")
+
+
+_baton_op = st.one_of(
+    st.tuples(st.just("park"), _pred_spec, st.booleans()),
+    st.tuples(st.just("write"), st.integers(0, NV - 1), st.integers(0, 2)),
+    st.tuples(st.just("exit")),
+    st.tuples(st.just("resume"), st.integers(0, 7)),
+    st.tuples(st.just("abandon"), st.integers(0, 7)),
+    st.tuples(st.just("poison")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_baton_op, min_size=1, max_size=40))
+def test_baton_count_and_relay_invariance_over_random_schedules(ops):
+    """Over parks, writes, exits, resumes, abandonment and poison on
+    threaded and async waiters: the baton count always equals the number
+    of signaled threaded waiters that have not resumed, and after every
+    relay either a baton is in flight or no registered, unsignaled
+    waiter's predicate is true (Prop. 2)."""
+    get_config().track_dependencies = True
+    model = _BatonModel()
+    with model.m._lock:
+        for op in ops:
+            model.step(op)
 
 
 # ------------------------------------------------------------ real threads

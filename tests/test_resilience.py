@@ -6,6 +6,8 @@ The schedule-fuzz and liveness-under-fault tests live in
 ``test_resilience_chaos.py``; this file covers the per-feature semantics.
 """
 
+import random
+import sys
 import threading
 import time
 import types
@@ -17,6 +19,7 @@ from repro.active.activemonitor import _outstanding
 from repro.core import Monitor, S, synchronized
 from repro.multi import complex_pred, multisynch
 from repro.preprocess import monitor_compile
+from repro.problems.bounded_buffer import AutoBoundedQueue
 from repro.resilience import (
     CancelToken,
     Inspector,
@@ -176,6 +179,91 @@ class TestCoreTimeouts:
             t2.join(5.0)
             assert not t1.is_alive() and not t2.is_alive()
             assert [v for _, v in consumed] == ["item"]
+
+
+class TestLostWakeupStress:
+    """Real threads, short deadlines and random cancels on one bounded
+    queue: no completed put loses its item, no take invents one, and no
+    baton leaks when the threads are done."""
+
+    PRODUCERS = CONSUMERS = 4
+    SECONDS = 2.0
+
+    def test_deadlines_and_cancels_lose_no_item(self):
+        q = AutoBoundedQueue(4)
+        stop = time.monotonic() + self.SECONDS
+        put = [[] for _ in range(self.PRODUCERS)]
+        taken = [[] for _ in range(self.CONSUMERS)]
+        live: list = []                 # tokens the canceller may fire
+        errors: list = []
+
+        def call(rng, op, *args):
+            token = CancelToken()
+            live.append(token)
+            try:
+                return op(*args, deadline=time.monotonic()
+                          + rng.uniform(0.0002, 0.004), cancel=token)
+            finally:
+                live.remove(token)
+
+        def producer(i):
+            rng = random.Random(i)
+            k = 0
+            while time.monotonic() < stop:
+                item = (i, k)
+                k += 1
+                try:
+                    call(rng, q.put_until, item)
+                except (WaitTimeoutError, WaitCancelledError):
+                    continue
+                put[i].append(item)
+
+        def consumer(i):
+            rng = random.Random(100 + i)
+            while time.monotonic() < stop:
+                try:
+                    taken[i].append(call(rng, q.take_until))
+                except (WaitTimeoutError, WaitCancelledError):
+                    pass
+
+        def canceller():
+            rng = random.Random(7)
+            while time.monotonic() < stop:
+                time.sleep(0.0005)
+                try:
+                    live[rng.randrange(len(live))].cancel("chaos")
+                except (IndexError, ValueError):
+                    pass            # the list moved under us: try again
+
+        def guarded(fn, *args):
+            def run():
+                try:
+                    fn(*args)
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    errors.append(exc)
+                    raise
+            return run
+
+        prior = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = (
+                [_spawn(guarded(producer, i)) for i in range(self.PRODUCERS)]
+                + [_spawn(guarded(consumer, i)) for i in range(self.CONSUMERS)]
+                + [_spawn(guarded(canceller))])
+            for t in threads:
+                t.join(self.SECONDS + 20.0)
+        finally:
+            sys.setswitchinterval(prior)
+        assert not any(t.is_alive() for t in threads), "a thread hung"
+        assert not errors, errors
+        left = [q.items[(q.take_ptr + j) % q.capacity] for j in range(q.count)]
+        put_all = sorted(item for items in put for item in items)
+        got_all = sorted([item for items in taken for item in items] + left)
+        assert put_all == got_all
+        assert q.metrics.wait_timeouts > 0
+        assert q._cond_mgr._batons == 0
+        assert q.waiting_count() == 0
 
 
 class TestFutureTimeouts:
