@@ -13,11 +13,12 @@ def test_fig4_8(benchmark, record):
 
 
 def test_as_false_evals_collapse_under_dependency_tracking():
-    """The multisynch exit hook skips waiters whose read sets are disjoint
-    from the exiting section's dirty set (docs/performance.md, Fig 4.8
-    note in EXPERIMENTS.md).  On the AS variant — the strategy that
-    re-evaluates global conditions on *every* exit — that filter must
-    collapse false evaluations, not just shave them."""
+    """The relay's dependency buckets skip a multisynch global wait's
+    records whose read sets are disjoint from the exiting section's dirty
+    set (docs/performance.md, Fig 4.8 note in EXPERIMENTS.md).  On the AS
+    variant — the strategy that re-evaluates global conditions on *every*
+    exit — that filter must collapse false evaluations, not just shave
+    them."""
     cfg = get_config()
     prior = cfg.track_dependencies
     try:

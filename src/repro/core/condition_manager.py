@@ -75,7 +75,8 @@ the event-loop thread) never takes the monitor lock — it claims the
 record through the flag's micro-lock (:meth:`abandon_async`) and leaves
 the unlink to the next lock holder (:meth:`_reap_async`).  The claim flag
 makes signal-vs-abandon a race with exactly one winner, so no signal is
-lost and none is delivered twice.
+lost and none is delivered twice.  Multisynch global waits register the
+same kind of record (:meth:`register_record`), delivered in every mode.
 """
 
 from __future__ import annotations
@@ -388,8 +389,9 @@ class ConditionManager:
         m = self.metrics
         monitor = self.monitor
         bcv = self._broadcast_cv
-        bcv.notify_all()  # baton-pass equivalent
-        m.bump("broadcasts")
+        # baton-pass equivalent: broadcast, and deliver any satisfied
+        # multisynch record, as every section end does
+        self.relay_signal()
         wake_cb: Optional[Callable[[], None]] = None
         if cancel is not None:
             def wake_cb() -> None:
@@ -473,7 +475,8 @@ class ConditionManager:
             else:
                 self._broadcast_cv.notify_all()
             m.bump("broadcasts")
-            return None
+            # the only registered waiters are multisynch records: the
+            # search below delivers them (a baseline monitor holds no baton)
         if self._batons or not self.waiters:
             return None
         if _chaos.enabled:
@@ -553,6 +556,13 @@ class ConditionManager:
         self.metrics.bump("waits")
         self._register(waiter)
 
+    def register_record(self, waiter: Waiter) -> None:
+        """Register a multisynch global wait's record (caller holds the
+        lock), in any mode.  Not queued pending: its thread just evaluated
+        the wait false under this lock, so only a later write to the
+        record's read set can make it true."""
+        self._register(waiter, pending=False)
+
     def abandon_async(self, waiter: Waiter) -> bool:
         """Abandon a parked async waiter *without* the monitor lock.
 
@@ -601,8 +611,10 @@ class ConditionManager:
 
     def _find_satisfied_waiter(self, snap=None) -> Optional[Waiter]:
         """One relay search: the tag-index probe (equivalence + threshold,
-        skipped while no tagged waiter is parked), then the untagged drain.
-        ``snap`` is the caller's config snapshot, if it holds one.
+        skipped while no tagged waiter is parked), then the untagged drain;
+        a linear scan in the untagged modes (AutoSynch-T, and the records
+        a baseline monitor holds).  ``snap`` is the caller's config
+        snapshot, if it holds one.
 
         The drain re-checks opaque-read-set waiters on every search (a
         write to anything could have flipped them), then the eligible
@@ -615,7 +627,7 @@ class ConditionManager:
         :meth:`_search_pred` — because one frame per candidate is
         measurable on every exit.
         """
-        if self.mode == "autosynch_t":
+        if self.mode != "autosynch":
             pred_true = self._search_pred
             for waiter in self.waiters:
                 if pred_true(waiter):
@@ -723,7 +735,7 @@ class ConditionManager:
         self._register(waiter)
         return waiter
 
-    def _register(self, waiter: Waiter) -> None:
+    def _register(self, waiter: Waiter, pending: bool = True) -> None:
         self.waiters.append(waiter)
         if self.mode != "autosynch":
             return
@@ -753,9 +765,9 @@ class ConditionManager:
         if plan.untagged:
             # untagged conjunctions go to the dependency-filtered
             # structures; the index holds tagged ones only
-            self._register_untagged(waiter)
+            self._register_untagged(waiter, pending)
 
-    def _register_untagged(self, waiter: Waiter) -> None:
+    def _register_untagged(self, waiter: Waiter, pending: bool) -> None:
         waiter.untagged = True
         rs = waiter.predicate.read_set()
         waiter.read_set = rs
@@ -772,19 +784,20 @@ class ConditionManager:
                 bucket.append(waiter)
         # a freshly parked waiter is always eligible for the next relay
         # search, so filtering cannot disturb relay invariance (Prop. 2)
-        waiter.pending = True
-        self._eligible.append(waiter)
+        if pending:
+            waiter.pending = True
+            self._eligible.append(waiter)
 
     def _deregister(self, waiter: Waiter) -> None:
+        try:
+            self.waiters.remove(waiter)
+        except ValueError:
+            return  # already deregistered: never pool a waiter twice
         if waiter.baton:
             # left while signaled (timeout, cancel, poison, a raise inside
             # the wait): the baton is released before any re-relay
             waiter.baton = False
             self._batons -= 1
-        try:
-            self.waiters.remove(waiter)
-        except ValueError:
-            pass
         if waiter.records:
             self._tagged -= 1
             for record in waiter.records:

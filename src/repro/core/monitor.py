@@ -149,8 +149,8 @@ class Monitor(metaclass=MonitorMeta):
         #: monitor, or None while healthy.  Read racily on the enter fast
         #: path; written only under the lock.
         self._broken: Optional[BaseException] = None
-        #: hook used by the multi-object layer: callables run (with the lock
-        #: held) just before the final lock release of a monitor section.
+        #: callables run (with the lock held) just before the relay of a
+        #: section's final lock release — an ActiveMonitor kicks its server.
         self._exit_hooks: list[Callable[["Monitor"], None]] = []
         #: callables run (with the lock held) when the monitor is marked
         #: broken — e.g. the multisynch manager waking global waiters.
@@ -267,8 +267,9 @@ class Monitor(metaclass=MonitorMeta):
         act), the server's two batch exits and
         ``GuardedCall.try_execute``.  Multisynch's release loop inlines the
         same steps.  The generation counts ended sections for the
-        Inspector's stall check.  A release that skips these steps loses
-        wakeups: no exit hook sees the section's writes
+        Inspector's stall check; the exit hooks kick ActiveMonitor servers.
+        The relay that follows is what reaches every waiter, local, asyncio
+        and multisynch global alike: a release that skips it loses wakeups
         (docs/robustness.md).
         """
         self._cond_mgr.generation += 1

@@ -23,7 +23,8 @@ churn allocates no new Waiter or Condition objects at all.
 frontend (:mod:`repro.aio`): same registration, predicate machinery and
 relay eligibility, but no parked thread and no condition variable — the
 wake action is a callable the signaler runs (a threadsafe event-loop
-callback in practice).  Async waiters are never pooled.
+callback in practice).  Async waiters are never pooled.  A multisynch
+global wait is the same kind of record, one per monitor that checks it.
 """
 
 from __future__ import annotations
@@ -144,6 +145,7 @@ class AsyncWaiter(Waiter):
     event loop cannot block on monitor traffic.  Exactly one side wins;
     the loser's path is a no-op.  A claimed-but-still-registered waiter is
     inert (``signaled`` is set) and is reaped by the next lock holder.
+    The records of one multisynch park share one ``claimed`` flag.
     """
 
     __slots__ = ("claimed",)

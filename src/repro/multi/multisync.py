@@ -10,7 +10,10 @@ Inside the block, :meth:`Multisynch.wait_until` accepts a *global predicate*
 (a boolean combination of per-monitor local predicates, see
 :mod:`repro.multi.global_predicates`).  While parked, the thread holds no
 locks; re-acquisition follows the same ascending order.  Signaling follows
-the configured strategy (AS / AV / CC).
+the configured strategy (AS / AV / CC): each park registers one record in
+the condition manager of every monitor that must check the wait, right
+after that monitor's relay in the park's release, and those monitors'
+relays wake the waiter (:mod:`repro.multi.manager`).
 
 Fast-path structure (the same monitor sets are re-acquired in loops):
 
@@ -214,17 +217,17 @@ class Multisynch:
 
     # ------------------------------------------------------------- lock mgmt
     #
-    # ``__enter__`` and ``_acquire_all`` inline Monitor._monitor_enter, and
-    # ``_release_all`` (the one release loop: the block's exit and every
-    # park) inlines Monitor._monitor_exit, for the common configuration
-    # (monlint runtime pass off, phase timing off): acquire = lock + depth
-    # bump; release = depth drop and, at depth 0, the exit steps of
-    # Monitor._end_section (generation bump, exit hooks), relay signal,
-    # unlock.  Calling the canonical methods per monitor instead makes a
-    # block cycle slower (docs/performance.md).  The section counters live
-    # on the condition manager.  Any change to the canonical methods in
-    # repro.core.monitor must be mirrored here; the guarded slow path keeps
-    # behavior identical when either instrument is enabled.
+    # ``__enter__`` and ``_acquire_all`` inline Monitor._monitor_enter for
+    # the common configuration (monlint runtime pass off, phase timing
+    # off): acquire = lock + depth bump.  ``_release_all`` (the one release
+    # loop: the block's exit and every park) inlines Monitor._monitor_exit:
+    # depth drop and, at depth 0, the exit steps of Monitor._end_section
+    # (generation bump, exit hooks), relay signal, unlock, with monlint's
+    # release check and the chaos exit site behind their switches.
+    # Calling the canonical methods per monitor instead makes a block cycle
+    # slower (docs/performance.md).  The section counters live on the
+    # condition manager.  Any change to the canonical methods in
+    # repro.core.monitor must be mirrored here.
     def _acquire_all(self) -> None:
         """Re-acquire every lock (wait-loop path) — deliberately infallible.
 
@@ -252,33 +255,41 @@ class Multisynch:
                 m._cond_mgr.depth += 1
         self._held = True
 
-    def _release_all(self) -> None:
+    def _release_all(self, records: Optional[dict] = None) -> None:
+        """Release every lock, in descending id order.  A park passes its
+        records by monitor: each joins its condition manager after that
+        monitor's relay, so the parking thread never evaluates them."""
         self._held = False
-        if _monlint.enabled or _chaos.enabled:
-            for m in self._rev:           # descending id
-                m._monitor_exit()
-            return
-        for m in self._rev:
+        monlint, chaos = _monlint.enabled, _chaos.enabled
+        for m in self._rev:               # descending id
+            if monlint:
+                _monlint.on_release(m)
             cm = m._cond_mgr
             depth = cm.depth - 1
             cm.depth = depth
-            if depth == 0:
-                try:
-                    # the Inspector's stall check reads the generation
-                    cm.generation += 1
-                    hooks = m._exit_hooks
-                    if hooks:
-                        for hook in hooks:
-                            hook(m)
-                    # _dirty forces the call even with nobody waiting: the
-                    # relay flush is what empties the dirty set and advances
-                    # the per-variable write generations the Inspector reads
-                    if cm.waiters or m._dirty or cm.mode == "baseline":
-                        cm.relay_signal()
-                finally:
-                    m._lock.release()  # monlint: disable=W004
-            else:
+            if depth:
                 m._lock.release()  # monlint: disable=W004
+                continue
+            try:
+                # the Inspector's stall check reads the generation
+                cm.generation += 1
+                hooks = m._exit_hooks
+                if hooks:
+                    for hook in hooks:
+                        hook(m)
+                # _dirty forces the call even with nobody waiting: the
+                # relay flush is what empties the dirty set and advances
+                # the per-variable write generations the Inspector reads
+                if cm.waiters or m._dirty or cm.mode == "baseline":
+                    cm.relay_signal()
+                if records:
+                    record = records.get(m)
+                    if record is not None:
+                        cm.register_record(record)
+            finally:
+                m._lock.release()  # monlint: disable=W004
+            if chaos:
+                _chaos.fire("monitor_exit", m)
 
     def __enter__(self) -> "Multisynch":
         if getattr(_active, "block", None) is not None:
@@ -340,8 +351,8 @@ class Multisynch:
 
         ``timeout``/``deadline``/``cancel`` carry the same semantics as
         :meth:`Monitor.wait_until`.  Abandoning a global wait is simpler
-        than the local case: the manager signals *every* waiter whose
-        strategy check passes (no exclusive relay baton), so a timed-out
+        than the local case: a relay delivers a satisfied record and keeps
+        searching (a record never holds the relay baton), so a timed-out
         waiter only needs to deregister — after re-acquiring all locks,
         which is also when a monitor poisoned during the park is detected
         and surfaced as :class:`BrokenMonitorError`.
@@ -379,14 +390,16 @@ class Multisynch:
             cancel.add_callback(wake_cb)
         try:
             while True:
-                manager.register(waiter)
-                self._release_all()
+                self._release_all(manager.register(waiter))
                 if deadline is None:
                     waiter.event.wait()
                 else:
                     remaining = deadline - time.monotonic()
                     if remaining > 0:
                         waiter.event.wait(remaining)
+                # cleared on waking, not at the next park: a cancel that
+                # fires from here on still sets it for that park
+                waiter.event.clear()
                 self._acquire_all()
                 manager.deregister(waiter)
                 broken = next(

@@ -1,40 +1,42 @@
 """Global-condition signaling strategies: AS, AV, CC (§4.2–4.3).
 
-When a thread blocks on a global condition it registers a
-:class:`GlobalWaiter` with every monitor the condition involves.  Whenever a
-thread exits one of those monitors (hook installed by the manager), the
-configured strategy decides whether to wake the waiter:
+When a thread blocks on a global condition, each monitor that must check
+the wait gets one waiterless *record* in its condition manager (built by
+:mod:`repro.multi.manager` from the predicates :meth:`GlobalWaiter.prepare`
+returns).  The monitor's relay, which every section end already runs,
+evaluates the record like any parked predicate and wakes the global waiter
+when it holds.  What the record evaluates is the strategy:
 
-* **AS** (always-signal, the evaluation's naive strawman): every exit of a
-  related monitor signals every related waiter.  Never misses a signal;
-  maximal false signals.
+* **AS** (always-signal, the evaluation's naive strawman): a record on
+  every involved monitor that is always true.  Its read set is that of the
+  monitor's atoms, so a write to one of them wakes the waiter.  Never
+  misses a signal; maximal false signals.
 * **AV** (atomic-variable, §4.2.2): each local atom of the predicate is
-  mirrored into an atomic boolean cell; on exit of monitor Mᵢ the exiting
-  thread refreshes the cells of atoms local to Mᵢ (safe: it holds Mᵢ's
-  lock), then evaluates the mirrored formula P̂ over cells only — if true,
-  signal (Prop. 3 gives no-missed-signal).
+  mirrored into an atomic boolean cell; the record on monitor Mᵢ refreshes
+  the cells of atoms local to Mᵢ (safe: the relay holds Mᵢ's lock), then
+  evaluates the mirrored formula P̂ over cells only — if true, the waiter
+  wakes (Prop. 3 gives no-missed-signal).
 * **CC** (critical-clause, §4.2.3): the waiter computes a critical clause
-  C = ∨ Cᵢ (Algorithm 3) and installs the per-monitor local clauses; on
-  exit of Mᵢ the exiting thread evaluates only Cᵢ — a pure disjunction of
-  Mᵢ-local atoms — and signals when it is true (Algorithm 4, Prop. 5).
-  Only the monitors with a local clause check the waiter on exit.
+  C = ∨ Cᵢ (Algorithm 3); the record on Mᵢ is the local clause Cᵢ — a pure
+  disjunction of Mᵢ-local atoms, tag-indexed like any local predicate
+  (Algorithm 4, Prop. 5).  Only the clause monitors hold a record.
 
-Complex atoms are handled conservatively in AV and CC: any exit of a
-related monitor counts as potentially-true (§4.2.4).
+AS and AV records declare the read set of their monitor's atoms, so the
+relay's dependency buckets skip them on exits that wrote none of it.
+Complex atoms are handled conservatively: a record whose monitor a
+complex atom involves is opaque, checked on every relay search, and
+counts the atom as true (§4.2.4).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
-from repro.core.monitor import Monitor
+from repro.core.predicates import Atom, Or, Predicate
 from repro.multi.global_predicates import (
-    ComplexPredicate,
     GAnd,
     GlobalAtom,
     GlobalNode,
-    LocalPredicate,
     compute_critical,
     group_by_monitor,
 )
@@ -48,109 +50,100 @@ _NO_READS: frozenset = frozenset()
 class GlobalWaiter:
     """One thread blocked on one global condition."""
 
-    __slots__ = ("predicate", "strategy", "event", "monitors",
-                 "cells", "mirror", "local_clauses", "checked_on",
-                 "signaled", "owner", "reads_by_monitor")
+    __slots__ = ("predicate", "strategy", "event", "monitors", "cells",
+                 "checks", "records")
 
     def __init__(self, predicate: GlobalNode, strategy: str):
         self.predicate = predicate
         self.strategy = strategy
         self.event = threading.Event()
-        self.owner = threading.get_ident()
         self.monitors = sorted(predicate.monitors(), key=lambda m: m.monitor_id)
-        #: AV state: atom -> boolean cell index; mirror formula over cells
+        #: AV state: id(atom) -> the atom's boolean cell
         self.cells: dict[int, bool] = {}
-        self.mirror: Optional["_MirrorNode"] = None
-        #: CC state: monitor -> list of atoms (the local clause Cᵢ)
-        self.local_clauses: dict[Monitor, list[GlobalAtom]] = {}
-        #: the monitors whose exits check this waiter (set by ``prepare``):
-        #: the clause monitors under CC, every involved monitor otherwise
-        self.checked_on: list[Monitor] = []
-        self.signaled = False
-        #: monitor -> union of the read sets of atoms involving it, or None
-        #: when some such atom is opaque/complex.  The manager's exit hook
-        #: skips this waiter entirely when the exiting section's dirty set
-        #: is disjoint from the exit monitor's entry — no atom local to the
-        #: monitor can have changed value, under any strategy.
-        self.reads_by_monitor = reads = {}
-        for atom in predicate.atoms():
-            if isinstance(atom, LocalPredicate):
-                rs = atom.predicate.read_set()
-                cur = reads.get(atom.monitor, _NO_READS)
-                reads[atom.monitor] = (
-                    None if rs is None or cur is None else cur | rs)
-            else:  # complex atom: conservative for every involved monitor
-                for mon in atom.monitors():
-                    reads[mon] = None
+        #: AS / AV: each involved monitor's record predicate, built at the
+        #: first park and reused by every later one
+        self.checks: dict | None = None
+        #: this park's records by monitor (set by ``manager.register``)
+        self.records: dict = {}
 
     # -- called by the waiting thread while holding ALL involved locks --------
-    def prepare(self) -> None:
-        """Build the strategy's bookkeeping from the current (false) state."""
-        self.event.clear()
-        self.signaled = False
+    def prepare(self) -> dict:
+        """Each checking monitor's record predicate for this park, built
+        from the current (false) state."""
         if self.strategy == "CC":
             clause = compute_critical(self.predicate)
-            self.local_clauses = group_by_monitor(clause)
-            self.checked_on = list(self.local_clauses)
-            return
-        if self.strategy == "AV":
-            self.mirror = _build_mirror(self.predicate, self)
-            self._refresh_all_cells()
-        self.checked_on = self.monitors
-
-    def _refresh_all_cells(self) -> None:
-        for atom in self.predicate.atoms():
-            self.cells[id(atom)] = atom.evaluate()
-
-    # -- called by an exiting thread holding only `monitor`'s lock ------------
-    def check_on_exit(self, monitor: Monitor) -> bool:
-        """Return True when the waiter should be signaled."""
-        if self.signaled:
-            return False
-        if self.strategy == "AS":
-            return True
+            return {monitor: self._clause(atoms)
+                    for monitor, atoms in group_by_monitor(clause).items()}
+        checks = self.checks
+        if checks is None:
+            checks = self.checks = {
+                monitor: Predicate(_Check(self, atoms))
+                for monitor, atoms in group_by_monitor(
+                    self.predicate.atoms()).items()}
         if self.strategy == "AV":
             for atom in self.predicate.atoms():
-                if isinstance(atom, LocalPredicate) and atom.monitor is monitor:
-                    self.cells[id(atom)] = atom.evaluate()
-                elif isinstance(atom, ComplexPredicate) and monitor in atom.monitors():
-                    self.cells[id(atom)] = True  # conservative (§4.2.4)
-            return self.mirror.evaluate() if self.mirror is not None else False
-        # CC: evaluate only this monitor's local critical clause Cᵢ (only
-        # clause monitors check a CC waiter)
-        for atom in self.local_clauses[monitor]:
-            if isinstance(atom, ComplexPredicate):
-                return True  # conservative
-            if atom.evaluate():
-                return True
-        return False
+                self.cells[id(atom)] = atom.evaluate()
+        return checks
+
+    def _clause(self, atoms: list[GlobalAtom]) -> Predicate:
+        """The record predicate of one local clause Cᵢ: a lone local atom's
+        own predicate (its registration plan and tag evaluator stay
+        cached), the disjunction of several, or an always-true opaque
+        check when a complex atom is among them."""
+        if any(atom.is_complex for atom in atoms):
+            return Predicate(_Check(self, atoms))
+        if len(atoms) == 1:
+            return atoms[0].predicate
+        return Predicate(Or([atom.predicate.root for atom in atoms]))
 
     def signal(self) -> None:
-        self.signaled = True
         self.event.set()
 
 
-class _MirrorNode:
-    """P̂: the predicate's boolean skeleton evaluated over the AV cells."""
+class _Check(Atom):
+    """The atom of an AS or AV record on one monitor, and of a CC record
+    whose clause holds a complex atom.
 
-    __slots__ = ("kind", "children", "cell_key", "waiter")
+    Its read set is the union of the read sets of ``atoms`` (the
+    predicate's atoms involving the monitor), or None — checked on every
+    relay search — when one of them is complex or opaque.  It evaluates
+    true, except under AV: there it first refreshes the cells of
+    ``atoms``, a complex one as true, and then evaluates P̂ over the cells.
+    """
 
-    def __init__(self, kind: str, children=(), cell_key: int = 0, waiter=None):
-        self.kind = kind
-        self.children = children
-        self.cell_key = cell_key
+    __slots__ = ("waiter", "atoms", "reads")
+
+    def __init__(self, waiter: GlobalWaiter, atoms: list[GlobalAtom]):
         self.waiter = waiter
+        self.atoms = tuple(atoms)
+        reads = _NO_READS
+        for atom in atoms:
+            rs = None if atom.is_complex else atom.predicate.read_set()
+            if rs is None:
+                reads = None
+                break
+            reads = reads | rs
+        self.reads = reads
 
-    def evaluate(self) -> bool:
-        if self.kind == "cell":
-            return self.waiter.cells.get(self.cell_key, False)
-        if self.kind == "and":
-            return all(c.evaluate() for c in self.children)
-        return any(c.evaluate() for c in self.children)
+    def evaluate(self, monitor) -> bool:
+        waiter = self.waiter
+        if waiter.strategy != "AV":
+            return True
+        cells = waiter.cells
+        for atom in self.atoms:
+            cells[id(atom)] = atom.is_complex or atom.evaluate()
+        return _over_cells(waiter.predicate, cells)
+
+    def read_set(self):
+        return self.reads
+
+    def __repr__(self):
+        return f"{self.waiter.strategy} check of {self.waiter.predicate!r}"
 
 
-def _build_mirror(node: GlobalNode, waiter: GlobalWaiter) -> _MirrorNode:
+def _over_cells(node: GlobalNode, cells: dict[int, bool]) -> bool:
+    """P̂: the predicate's boolean skeleton evaluated over the AV cells."""
     if isinstance(node, GlobalAtom):
-        return _MirrorNode("cell", cell_key=id(node), waiter=waiter)
-    kind = "and" if isinstance(node, GAnd) else "or"
-    return _MirrorNode(kind, tuple(_build_mirror(c, waiter) for c in node.children))
+        return cells[id(node)]
+    test = all if isinstance(node, GAnd) else any
+    return test(_over_cells(child, cells) for child in node.children)

@@ -220,4 +220,8 @@ def run_pizza_store(
     ]
     elapsed = run_threads(targets, timeout=300.0)
     metrics = manager.global_condition_metrics.snapshot()
+    # global waits are records in the ingredients' relays, so the
+    # dependency filter's skips are counted on the ingredient monitors
+    for ing in getattr(store, "ingredients", ()):
+        metrics["relay_dirty_skips"] += ing.metrics.relay_dirty_skips
     return RunResult(elapsed, n_cooks * pizzas_per_cook, metrics)

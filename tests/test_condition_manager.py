@@ -208,6 +208,25 @@ class TestHousekeeping:
         assert b._cond_mgr._expr_cache == {}
         assert b._cond_mgr._expr_evalers == {}
 
+    def test_a_second_deregistration_is_a_no_op(self):
+        """Deregistering a waiter twice pools it once: the next two parks
+        get two waiters, each with its own condition variable."""
+        b = Board()
+        mgr = b._cond_mgr
+        pred = Predicate(S.x == 1)
+        with b._lock:
+            waiter = mgr._obtain_waiter(pred)
+            mgr._deregister(waiter)
+            mgr._deregister(waiter)
+            assert mgr._waiter_pool.count(waiter) == 1
+            first = mgr._obtain_waiter(pred)
+            second = mgr._obtain_waiter(pred)
+            assert first is not second
+            assert first.cv is not second.cv
+            mgr._deregister(first)
+            mgr._deregister(second)
+        assert mgr.waiting_count() == 0
+
     def test_dump_waiters_describes_predicates(self):
         b = Board()
         t = _spawn(lambda: b.wait_eq(42))

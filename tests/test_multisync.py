@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.core import Monitor, S
+from repro.core.condition_manager import SIGNALING_MODES
 from repro.multi import (
     complex_pred,
     current_multisynch,
@@ -351,8 +352,8 @@ class TestGenerationSkip:
 
 
 class XY(Monitor):
-    def __init__(self):
-        super().__init__()
+    def __init__(self, signaling="autosynch"):
+        super().__init__(signaling)
         self.x = 0
         self.y = 0
         self.go = False
@@ -386,10 +387,14 @@ def _park_global_waiter(monitors, condition, strategy="CC"):
         except BaseException as exc:  # noqa: BLE001 — reported by the test
             outcome.append(exc)
 
+    def registered():
+        return len(getattr(monitors[0], manager._TABLE_ATTR, None) or ())
+
+    before = registered()
     t = threading.Thread(target=run, daemon=True)
     t.start()
     deadline = time.monotonic() + 5
-    while not getattr(monitors[0], manager._TABLE_ATTR, None):
+    while registered() <= before:
         assert time.monotonic() < deadline, "global waiter never registered"
         time.sleep(0.001)
     # wait for the release without running a section of our own
@@ -521,6 +526,143 @@ class TestClauseOnlyChecks:
             assert not t.is_alive()
             assert len(outcome) == 1
             assert isinstance(outcome[0], BrokenMonitorError)
+        finally:
+            token.cancel()
+            t.join(2)
+
+    def test_exits_off_the_clause_cost_the_monitors_nothing(self):
+        """Counted on the monitors' own metrics: each clause is a record in
+        a's relay, found by its tag probe, so exits of b cost neither
+        monitor an evaluation, and a write to a evaluates only the one
+        clause it makes true."""
+        a, b = XY(), XY()
+        parked = [
+            _park_global_waiter(
+                [a, b], local(a, S.x >= k) & local(b, S.y >= 0))
+            for k in (5, 10, 20)]
+
+        def counts():
+            return [(m.metrics.predicate_evals, m.metrics.tag_checks)
+                    for m in (a, b)]
+
+        try:
+            before = counts()
+            for i in range(100):
+                b.set_y(i + 1)
+            assert counts() == before
+            evals = a.metrics.predicate_evals
+            signals = global_condition_metrics.signals
+            a.set_x(7)
+            (t5, outcome5, _), *rest = parked
+            t5.join(5)
+            assert not t5.is_alive()
+            assert outcome5 == ["returned"]
+            assert global_condition_metrics.signals == signals + 1
+            assert a.metrics.predicate_evals == evals + 1
+            assert all(t.is_alive() for t, _, _ in rest)
+        finally:
+            for _, _, token in parked:
+                token.cancel()
+            for t, _, _ in parked:
+                t.join(2)
+
+
+class TestGlobalWaitsInEverySignalingMode:
+    """Every signaling mode's relay delivers global records; the baseline
+    relay, which broadcasts to its parked threads, delivers the records it
+    holds too."""
+
+    @pytest.mark.parametrize("mode", SIGNALING_MODES)
+    @pytest.mark.parametrize("strategy", ["AS", "AV", "CC"])
+    def test_the_enabling_writes_wake_the_waiter(self, strategy, mode):
+        """b's write ends in a method exit, a's in a park."""
+        a, b = XY(mode), XY(mode)
+        t, outcome, token = _park_global_waiter(
+            [a, b], local(a, S.x > 0) & local(b, S.y > 0), strategy)
+        writer = threading.Thread(target=a.write_x_then_park, daemon=True)
+        try:
+            assert a._exit_hooks == b._exit_hooks == []
+            b.set_y(1)
+            writer.start()
+            t.join(5)
+            assert not t.is_alive(), "the enabling writes were lost"
+            assert outcome == ["returned"]
+        finally:
+            token.cancel()
+            a.release()
+            t.join(2)
+            writer.join(2)
+        assert not writer.is_alive()
+
+    @pytest.mark.parametrize("mode", SIGNALING_MODES)
+    @pytest.mark.parametrize("strategy", ["AS", "AV", "CC"])
+    def test_poisoning_the_off_clause_monitor_raises(self, strategy, mode):
+        a, b = XY(mode), XY(mode)
+        t, outcome, token = _park_global_waiter(
+            [a, b], local(a, S.x > 0) & local(b, S.y > 0), strategy)
+        try:
+            b.mark_broken(RuntimeError("corrupt"))
+            t.join(5)
+            assert not t.is_alive()
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], BrokenMonitorError)
+        finally:
+            token.cancel()
+            t.join(2)
+
+
+class _CancelledOnSubscribe(CancelToken):
+    """A token a canceller fires just as the wait subscribes to it."""
+
+    def add_callback(self, callback):
+        self.cancel("raced")
+        super().add_callback(callback)
+
+
+class TestCancelRacingThePark:
+    def test_a_cancel_before_the_first_park_is_not_lost(self):
+        """The token fires after the wait's own cancelled check and before
+        it parks: the wakeup the subscription runs must survive the park."""
+        a = XY()
+        outcome: list = []
+
+        def run():
+            try:
+                with multisynch(a) as ms:
+                    ms.wait_until(local(a, S.x > 0),
+                                  cancel=_CancelledOnSubscribe())
+            except WaitCancelledError as exc:
+                outcome.append(exc)
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        t.join(5)
+        try:
+            assert not t.is_alive(), "the cancel was lost"
+            assert len(outcome) == 1
+        finally:
+            a.set_x(1)
+            t.join(2)
+
+
+class TestParkingThreadNeverWakesItself:
+    @pytest.mark.parametrize("strategy", ["AS", "AV", "CC"])
+    def test_a_wait_left_alone_evaluates_nothing(self, strategy):
+        """A complex atom makes every record opaque, checked on every relay
+        search.  The park registers each record after its monitor's own
+        relay, so a wait nobody disturbs never re-evaluates."""
+        a, b = XY(), XY()
+        condition = complex_pred([a, b], lambda: a.x + b.y > 0)
+        false_evals = global_condition_metrics.false_evals
+        t, outcome, token = _park_global_waiter([a, b], condition, strategy)
+        try:
+            time.sleep(0.3)
+            assert global_condition_metrics.false_evals == false_evals
+            assert t.is_alive()
+            a.set_x(1)
+            t.join(5)
+            assert not t.is_alive()
+            assert outcome == ["returned"]
         finally:
             token.cancel()
             t.join(2)
