@@ -240,7 +240,7 @@ class ActiveMonitor(Monitor):
                 f"task queue of {self!r} is full")
         if server._stop:       # same submit/stop race handling as submit()
             server.drain()
-        server._wake.set()     # wake the server thread; combining was refused
+        server.wake()          # wake the server thread; combining was refused
         return future
 
     # ------------------------------------------------------------ order rules

@@ -18,9 +18,11 @@ explicit :mod:`repro.runtime.atomics` layer), so the common case acquires
   ``taken`` once per batch (the paper's take-count strategy), and dequeues
   the claimed items with plain ``popleft`` — no lock, one shared-counter
   touch per batch;
-* blocking only happens through a parking lot (lock + condition) that a
-  producer enters *after* its admission check fails, and that the consumer
-  touches only when ``_parked`` says somebody is actually waiting.
+* blocking only happens through a parking lot (a lock and a list of
+  :class:`~repro.runtime.parking.Parker` permits) that a producer enters
+  *after* its admission check fails, and that the consumer touches only
+  when ``_parked`` says somebody is actually waiting: a steal that frees
+  slots unparks every parked producer, and each re-checks its admission.
 
 Memory-model note (the no-GIL contract).  The queue's correctness rests on
 four primitives, each explicitly accounted for on both builds:
@@ -38,13 +40,14 @@ four primitives, each explicitly accounted for on both builds:
   producer that could have been admitted, never admit one over the bound;
 * **the parking-lot handshake** is the one store-load pattern that needs
   sequential consistency ("consumer stores ``_taken`` then loads
-  ``_parked``; producer stores ``_parked`` then loads ``_taken``").  The
-  GIL provides it; without the GIL the consumer takes the parking lock
-  before checking ``_parked`` (one lock per *batch*, selected at import by
-  ``GIL_ENABLED``), which restores the ordering through lock
-  acquire/release: whichever side enters the lock second observes the
-  other's store.  The producer's re-check under that lock closes the
-  lost-wakeup window exactly as before.
+  ``_parked``; producer appends its Parker to ``_parked`` then loads
+  ``_taken``").  The GIL provides it; without the GIL the consumer takes
+  the parking lock before checking ``_parked`` (one lock per *batch*,
+  selected at import by ``GIL_ENABLED``), which restores the ordering
+  through lock acquire/release: whichever side enters the lock second
+  observes the other's store.  The producer's re-check after its append
+  closes the lost-wakeup window, and since it loops on that check, a
+  stale permit on its Parker costs one more check.
 
 Capacity semantics (inherent to the original design, kept deliberately):
 the bound applies to *unclaimed* items.  A steal advances ``taken`` by the
@@ -65,6 +68,7 @@ from typing import Any, Optional
 
 from repro.resilience import chaos as _chaos
 from repro.runtime.atomics import GIL_ENABLED, AtomicCounter
+from repro.runtime.parking import current_parker
 
 __all__ = ["AtomicInteger", "SingleConsumerBoundedQueue"]
 
@@ -112,7 +116,7 @@ class SingleConsumerBoundedQueue:
 
     __slots__ = (
         "capacity", "_items", "_tickets", "_void", "_taken", "_claimed",
-        "_parklock", "_not_full", "_parked", "steal_batches", "steal_items",
+        "_parklock", "_parked", "steal_batches", "steal_items",
     )
 
     def __init__(self, capacity: int):
@@ -125,8 +129,9 @@ class SingleConsumerBoundedQueue:
         self._taken = 0       # consumer-published count of claimed tickets
         self._claimed = 0     # consumer-local remainder of the stolen batch
         self._parklock = threading.Lock()
-        self._not_full = threading.Condition(self._parklock)
-        self._parked = 0      # producers currently in the parking lot
+        #: the Parkers of the producers in the parking lot (mutated under
+        #: ``_parklock``)
+        self._parked: list = []
         #: consumer-side instrumentation (single writer, racy reads OK)
         self.steal_batches = 0
         self.steal_items = 0
@@ -145,16 +150,19 @@ class SingleConsumerBoundedQueue:
         self._items.append(item)
 
     def _park(self, ticket: int) -> None:
+        parker = current_parker()
+        lot = self._parked
         with self._parklock:
-            self._parked += 1
-            try:
-                # the re-check under the lock closes the lost-wakeup window:
-                # the consumer's notify also needs this lock, so it cannot
-                # fire between our check and our wait
-                while ticket - self._taken >= self.capacity:
-                    self._not_full.wait()
-            finally:
-                self._parked -= 1
+            lot.append(parker)
+        try:
+            # the re-check after the append closes the lost-wakeup window:
+            # a steal that advanced ``_taken`` before it either shows here
+            # or found our Parker in the lot and unparked it
+            while ticket - self._taken >= self.capacity:
+                parker.park()
+        finally:
+            with self._parklock:
+                lot.remove(parker)
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking enqueue; False when full.
@@ -225,23 +233,18 @@ class SingleConsumerBoundedQueue:
             self.steal_batches += 1
             self.steal_items += n
             advanced += n
-        if advanced:
-            if GIL_ENABLED:
-                # racy _parked read is sound: the GIL orders the producer's
-                # "_parked store, _taken load" against our "_taken store,
-                # _parked load" sequentially, so one side always sees the
-                # other (the Dekker store-load pair in the module docstring)
-                if self._parked:
-                    with self._parklock:
-                        self._not_full.notify_all()
-            else:
-                # no GIL ⇒ no store-load ordering without a fence: check
-                # _parked *under* the parking lock (once per batch).  A
-                # producer that hasn't entered the lot yet will re-check its
-                # admission predicate under this lock and see our _taken.
-                with self._parklock:
-                    if self._parked:
-                        self._not_full.notify_all()
+        if advanced and (self._parked or not GIL_ENABLED):
+            # Under the GIL the racy ``_parked`` read is sound: the GIL
+            # orders the producer's "append, _taken load" against our
+            # "_taken store, _parked load" sequentially, so one side always
+            # sees the other (the Dekker store-load pair in the module
+            # docstring).  Without the GIL the read happens under the
+            # parking lock (once per batch): a producer that has not
+            # entered the lot yet re-checks its admission after it does,
+            # and sees our _taken.
+            with self._parklock:
+                for parker in self._parked:
+                    parker.unpark()
         return n
 
     def approx_len(self) -> int:

@@ -14,9 +14,16 @@ Rules 1-3 (the paper's execution model) map onto this implementation:
 
 Unexecutable tasks (precondition false, Def. 10) move to a pending list;
 after every state change the server re-scans pendings under the configured
-policy.  When there is nothing to do the server parks on an event instead of
+policy.  When there is nothing to do the server parks instead of
 busy-waiting — the paper stresses that, unlike prior combining schemes, no
-thread ever spins.
+thread ever spins.  It parks on a permit of its own (a
+:class:`~repro.runtime.parking.Parker` built with the server), and every
+waker goes through :meth:`MonitorServer.wake`, which makes the permit
+available: a wake that arrives before the loop first parks is kept, two
+wakes before a park run one pass, and a wake is an unpark with no lock.
+A loop that exits on ``_stop`` passes the permit on, so ``stop()`` also
+ends a second loop that a supervisor's restart started beside one it
+wrongly took for dead.
 
 Throughput structure of the drain path (the delegation fast path):
 
@@ -52,6 +59,7 @@ from repro.core.monitor import _CONTROL_FLOW_EXC as _NO_POISON
 from repro.resilience import chaos as _chaos
 from repro.runtime.config import config_snapshot, get_config
 from repro.runtime.errors import BrokenMonitorError, TaskError
+from repro.runtime.parking import Parker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.active.activemonitor import ActiveMonitor
@@ -75,7 +83,8 @@ class MonitorServer:
         cfg = get_config()
         self.queue = SingleConsumerBoundedQueue(cfg.task_queue_capacity)
         self.pending: list[MonitorTask] = []   # unexecutable tasks, FIFO
-        self._wake = threading.Event()
+        #: the permit the server loop parks on (see :meth:`wake`)
+        self._wake = Parker()
         self._stop = False
         self.alive = False
         self._thread: Optional[threading.Thread] = None
@@ -130,7 +139,7 @@ class MonitorServer:
         with self._lifecycle:
             self._stop = True
             thread = self._thread
-        self._wake.set()
+        self.wake()
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout)
             if thread.is_alive():
@@ -153,7 +162,7 @@ class MonitorServer:
         started = self.start()
         if started:
             # re-scan anything submitted while the server was down
-            self._wake.set()
+            self.wake()
         return started
 
     # ------------------------------------------------------------ submission
@@ -171,7 +180,7 @@ class MonitorServer:
             return
         if self._try_combine():
             return
-        self._wake.set()
+        self.wake()
 
     def _try_combine(self, lone: Optional[MonitorTask] = None) -> bool:
         """Worker-side combining (§3.3.2): if the monitor lock is free, this
@@ -228,17 +237,17 @@ class MonitorServer:
             if completions:
                 _complete(completions)
             if len(self.queue) or self.pending:
-                self._wake.set()
+                self.wake()
 
     # ---------------------------------------------------------- server loop
     def _run(self) -> None:
         monitor = self.monitor
         cm = monitor._cond_mgr
         self._ident = threading.get_ident()
+        park = self._wake.park
         try:
             while not self._stop:
-                self._wake.wait()
-                self._wake.clear()
+                park()
                 if self._stop:
                     break
                 if _chaos.enabled:
@@ -262,6 +271,9 @@ class MonitorServer:
         except BaseException as exc:  # noqa: BLE001 — thread death handler
             self._on_death(exc)
             return
+        # stopped: pass the permit on, so any other loop of this server
+        # parked on it sees _stop too
+        self.wake()
         self.alive = False
         registry.unregister(self)
         self.drain()
@@ -412,4 +424,10 @@ class MonitorServer:
         false."""
         if (self.pending or len(self.queue)) and \
                 threading.get_ident() != self._ident:
-            self._wake.set()
+            self.wake()
+
+    def wake(self) -> None:
+        """Ask the server loop for a pass over the queue and the pending
+        tasks.  Makes its permit available: idempotent, never blocks, and
+        kept when the loop is not parked yet."""
+        self._wake.unpark()

@@ -101,7 +101,7 @@ def submit_select_one(calls: Sequence[GuardedCall]) -> LightFuture:
         # kick those servers so the SKIPPED drain happens promptly
         for other in calls:
             if other is not call and other.monitor.server is not None:
-                other.monitor.server._wake.set()
+                other.monitor.server.wake()
 
     def make_guard(call: GuardedCall):
         # executable once the real guard holds — or once somebody else won,

@@ -8,18 +8,27 @@ benchmarks can compare them exactly as Chapter 2's evaluation does:
 * ``autosynch`` — tag-accelerated relay signaling (the full system);
 * ``autosynch_t`` — relay signaling with a linear scan over waiters (the
   paper's *AutoSynch-T*: tags disabled);
-* ``baseline`` — one condition variable, broadcast on every exit, every
-  woken thread re-checks its own predicate (the paper's *Baseline*).
+* ``baseline`` — broadcast on every exit: every parked thread is
+  unparked and re-checks its own predicate (the paper's *Baseline*).
 
 All entry points require the monitor lock to be held by the caller.
+
+One park primitive (docs/algorithms.md §2): a parked thread sleeps on its
+own :class:`~repro.runtime.parking.Parker`.  A park releases the monitor
+lock, parks until its waiter is signaled or its deadline or cancel token
+fires, then re-acquires; a signal sets the waiter's flag and unparks its
+thread, under the lock.  A return from ``park()`` is never a signal, so a
+stale permit costs one loop trip, and a cancel callback is the bare
+``unpark``, which takes no lock.  Baseline threads park the same way,
+on waiters kept out of ``waiters``.
 
 Hot-path invariants (see docs/performance.md): the already-true
 ``wait_until`` fast path and a no-candidate relay allocate nothing — config
 reads go through :func:`config_snapshot`, predicates evaluate through
 compiled closures (:mod:`repro.core.compiled`), phase timers exist only
 when ``phase_timing`` is on, non-event counters bump by direct attribute
-increment, tag-search callbacks are pre-bound, and Waiter objects (with
-their condition variables) recycle through an inactive pool.
+increment, tag-search callbacks are pre-bound, and Waiter objects
+recycle through an inactive pool.
 
 Dependency-tracked relay (docs/performance.md): untagged (None-tag) waiters
 live outside the TagIndex.  Waiters with a known predicate read set are
@@ -203,7 +212,9 @@ class ConditionManager:
         self.generation = 0
         self.waiters: list[Waiter] = []     # insertion order (autosynch_t scan)
         self.index = TagIndex()             # tag structures (autosynch)
-        self._broadcast_cv = threading.Condition(lock)  # baseline mode
+        #: baseline mode: the waiters of the parked threads, all signaled
+        #: by the next broadcast
+        self._parked: list[Waiter] = []
         #: registered sub-expression nodes by structural key, refcounted by
         #: the waiters whose predicates mention them — evicted when the last
         #: referencing waiter deregisters, so long-lived monitors that see
@@ -215,10 +226,9 @@ class ConditionManager:
         #: value means "compilation declined — use the interpreter"
         self._expr_evalers: dict[Any, Optional[Callable[[Any], Any]]] = {}
         self._evaler_refs: dict[Any, int] = {}
-        #: §2.5.1: recycled Waiter objects (each carrying its condition
-        #: variable) — when a waiter leaves it joins an inactive pool for
-        #: reuse, bounded by ``_POOL_FACTOR × live waiters`` (the paper's
-        #: 2n cap)
+        #: §2.5.1: recycled Waiter objects — when a waiter leaves it joins
+        #: an inactive pool for reuse, bounded by ``_POOL_FACTOR × live
+        #: waiters`` (the paper's 2n cap)
         self._waiter_pool: list[Waiter] = []
         #: abandoned async waiters awaiting deregistration.  Appended from
         #: the event-loop/canceller thread *without* the monitor lock
@@ -302,24 +312,20 @@ class ConditionManager:
                 f"wait on {predicate!r} cancelled", cancel.reason)
 
         if self.mode == "baseline":
-            self._wait_baseline(ev, deadline=deadline, cancel=cancel)
+            self._wait_baseline(predicate, ev, deadline=deadline,
+                                cancel=cancel)
             return
 
         waiter = self._obtain_waiter(predicate)
         monitor = self.monitor
-        cv = waiter.cv
-        cv_wait = cv.wait
         # one snapshot per blocking wait, not one config lookup per wakeup
         phase_timing = config_snapshot().phase_timing
-        wake_cb: Optional[Callable[[], None]] = None
+        wake: Optional[Callable[[], None]] = None
         if cancel is not None:
-            # The canceller notifies our CV under the monitor lock; RLock
-            # makes this safe even when cancel() fires from a thread that
-            # is itself inside this monitor.
-            def wake_cb() -> None:
-                with cv:
-                    cv.notify()
-            cancel.add_callback(wake_cb)
+            # an unpark takes no lock, so cancel() never waits for this
+            # monitor; the park loop below sees the token itself
+            wake = waiter.parker.unpark
+            cancel.add_callback(wake)
         satisfied = False
         try:
             while True:
@@ -330,23 +336,15 @@ class ConditionManager:
                     m.bump("wait_cancels")
                     raise WaitCancelledError(
                         f"wait on {predicate!r} cancelled", cancel.reason)
-                if deadline is None:
-                    if phase_timing:
-                        with PhaseTimer(m, "await_time"):
-                            cv_wait()
-                    else:
-                        cv_wait()
+                if deadline is not None and deadline <= time.monotonic():
+                    m.bump("wait_timeouts")
+                    raise WaitTimeoutError(
+                        f"wait on {predicate!r} timed out")
+                if phase_timing:
+                    with PhaseTimer(m, "await_time"):
+                        self._park(waiter, deadline, cancel)
                 else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        m.bump("wait_timeouts")
-                        raise WaitTimeoutError(
-                            f"wait on {predicate!r} timed out")
-                    if phase_timing:
-                        with PhaseTimer(m, "await_time"):
-                            cv_wait(remaining)
-                    else:
-                        cv_wait(remaining)
+                    self._park(waiter, deadline, cancel)
                 self._resume(waiter)
                 m.bump("wakeups")
                 if waiter.poison is not None:
@@ -361,11 +359,11 @@ class ConditionManager:
                 m.bump("futile_wakeups")
         finally:
             self._deregister(waiter)
-            if wake_cb is not None:
-                cancel.remove_callback(wake_cb)
+            if wake is not None:
+                cancel.remove_callback(wake)
             if not satisfied:
                 # Abandoned wait (timeout / cancel / poison): between the
-                # cv-wait return and this point the thread holds the monitor
+                # park's return and this point the thread holds the monitor
                 # lock, so if it *was* signaled, that signal is the relay
                 # baton and no other signal can have raced in.  The
                 # deregistration released the baton; re-running the relay
@@ -373,44 +371,71 @@ class ConditionManager:
                 # lost.
                 self.relay_signal()
 
+    def _park(self, waiter: Waiter, deadline: Optional[float],
+              cancel: "Optional[CancelToken]") -> None:
+        """Release the monitor lock, park until the waiter is signaled or
+        the deadline or cancel token fires, then re-acquire the lock.
+
+        A return from ``park()`` is never taken as a signal: the loop
+        re-checks ``signaled``, so a stale permit on the thread's Parker
+        only costs one more trip round it."""
+        park = waiter.parker.park
+        lock = self.lock
+        saved = lock._release_save()
+        try:
+            while not waiter.signaled:
+                if cancel is not None and cancel.cancelled():
+                    break
+                if deadline is None:
+                    park()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 or not park(remaining):
+                        break
+        finally:
+            lock._acquire_restore(saved)
+
     def _resume(self, waiter: Waiter) -> None:
-        """The waiter's thread is back from its condition wait, holding the
-        lock: it is the active thread now, and relays when it exits,
-        re-parks or leaves, so its baton (if the relay handed it one) is
-        released."""
+        """The waiter's thread is back from its park, holding the lock: it
+        is the active thread now, and relays when it exits, re-parks or
+        leaves, so its baton (if the relay handed it one) is released."""
         waiter.signaled = False
         if waiter.baton:
             waiter.baton = False
             self._batons -= 1
 
-    def _wait_baseline(self, ev: Callable[[Any], Any],
+    def _wait_baseline(self, predicate: Predicate, ev: Callable[[Any], Any],
                        deadline: Optional[float] = None,
                        cancel: "Optional[CancelToken]" = None) -> None:
+        """Baseline's park: the thread's waiter joins the broadcast list
+        (``_parked``), never ``waiters``, so no search can pick it; each
+        broadcast signals every parked waiter, and each re-checks its own
+        predicate."""
         m = self.metrics
         monitor = self.monitor
-        bcv = self._broadcast_cv
+        parked = self._parked
+        waiter = Waiter(predicate, self.lock)
         # baton-pass equivalent: broadcast, and deliver any satisfied
-        # multisynch record, as every section end does
+        # registered record, as every section end does
         self.relay_signal()
-        wake_cb: Optional[Callable[[], None]] = None
+        wake: Optional[Callable[[], None]] = None
         if cancel is not None:
-            def wake_cb() -> None:
-                with bcv:
-                    bcv.notify_all()
-            cancel.add_callback(wake_cb)
+            wake = waiter.parker.unpark
+            cancel.add_callback(wake)
         try:
             while True:
                 if cancel is not None and cancel.cancelled():
                     m.bump("wait_cancels")
                     raise WaitCancelledError("wait cancelled", cancel.reason)
-                if deadline is None:
-                    bcv.wait()
+                if deadline is not None and deadline <= time.monotonic():
+                    m.bump("wait_timeouts")
+                    raise WaitTimeoutError("wait timed out")
+                parked.append(waiter)
+                self._park(waiter, deadline, cancel)
+                if waiter.signaled:
+                    waiter.signaled = False
                 else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        m.bump("wait_timeouts")
-                        raise WaitTimeoutError("wait timed out")
-                    bcv.wait(remaining)
+                    parked.remove(waiter)  # left before any broadcast
                 m.bump("wakeups")
                 broken = getattr(monitor, "_broken", None)
                 if broken is not None:
@@ -423,10 +448,19 @@ class ConditionManager:
                     return
                 m.bump("futile_wakeups")
         finally:
-            if wake_cb is not None:
-                cancel.remove_callback(wake_cb)
+            if wake is not None:
+                cancel.remove_callback(wake)
             # baseline signaling is broadcast: a departing waiter cannot
             # have absorbed anyone else's wakeup, so no re-relay is needed
+
+    def _broadcast(self) -> None:
+        """Baseline's wake (caller holds the lock): signal every parked
+        baseline waiter; each re-checks its own predicate."""
+        parked = self._parked
+        if parked:
+            for waiter in parked:
+                waiter.signal()
+            parked.clear()
 
     # ---------------------------------------------------------------- signal
     def relay_signal(self) -> Optional[Waiter]:
@@ -471,12 +505,13 @@ class ConditionManager:
         if self.mode == "baseline":
             if snap.phase_timing:
                 with PhaseTimer(m, "relay_time"):
-                    self._broadcast_cv.notify_all()
+                    self._broadcast()
             else:
-                self._broadcast_cv.notify_all()
+                self._broadcast()
             m.bump("broadcasts")
-            # the only registered waiters are multisynch records: the
-            # search below delivers them (a baseline monitor holds no baton)
+            # the only registered waiters are records (asyncio waiters and
+            # multisynch global waits): the search below delivers them (a
+            # baseline monitor holds no baton)
         if self._batons or not self.waiters:
             return None
         if _chaos.enabled:
@@ -508,15 +543,14 @@ class ConditionManager:
     def poison_all(self, make_exc: Callable[[], BaseException]) -> int:
         """Poison and wake every parked waiter (caller holds the lock).
 
-        Used by :meth:`Monitor.mark_broken`: each relay-mode waiter gets a
-        fresh exception from ``make_exc`` (fresh per waiter, so concurrent
-        re-raises don't fight over one traceback) and is signaled; baseline
-        mode broadcasts, and the woken threads see ``monitor._broken``
-        themselves.  Returns the number of waiters poisoned.
+        Used by :meth:`Monitor.mark_broken`.  Parked baseline threads are
+        woken by a broadcast and see ``monitor._broken`` themselves.  Then,
+        in every mode, each registered waiter gets a fresh exception from
+        ``make_exc`` (fresh per waiter, so concurrent re-raises don't fight
+        over one traceback) and is signaled, or delivered when it is a
+        record.  Returns the number of registered waiters poisoned.
         """
-        if self.mode == "baseline":
-            self._broadcast_cv.notify_all()
-            return 0
+        self._broadcast()
         n = 0
         for waiter in list(self.waiters):
             if waiter.poison is None:
@@ -544,15 +578,10 @@ class ConditionManager:
 
         The record joins exactly the structures a threaded waiter would —
         tag index, dependency buckets — so every signaling discipline
-        covers it with no special cases on the search side.  Baseline mode
-        is refused: broadcasts wake parked threads, and an async waiter has
-        none.
+        covers it with no special cases on the search side.  On a baseline
+        monitor it joins ``waiters`` alone, which the relay's linear search
+        scans after each broadcast.
         """
-        if self.mode == "baseline":
-            from repro.runtime.errors import MonitorError
-            raise MonitorError(
-                "async waiters require relay signaling "
-                "(signaling mode 'baseline' only broadcasts to parked threads)")
         self.metrics.bump("waits")
         self._register(waiter)
 
@@ -852,10 +881,9 @@ class ConditionManager:
                     evalers.pop(key, None)
                 else:
                     refs[key] = n
-        # recycle the whole waiter, condition variable included (paper
-        # §2.5.1): cap the inactive pool at factor × live waiters, minimum
-        # a small constant.  Async waiters are never pooled — they carry no
-        # condition variable and their claim flag is single-use.
+        # recycle the whole waiter (paper §2.5.1): cap the inactive pool at
+        # factor × live waiters, minimum a small constant.  Async waiters
+        # are never pooled — their claim flag is single-use.
         if waiter.deliver is not None:
             return
         cap = max(4, _POOL_FACTOR * (len(self.waiters) + 1))

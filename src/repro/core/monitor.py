@@ -330,8 +330,9 @@ class Monitor(metaclass=MonitorMeta):
         ``predicate`` holds.  The caller holds the lock and has just
         evaluated the predicate false (and counted that evaluation)."""
         cm = self._cond_mgr
-        # A waiting thread must not hold the lock reentrantly: Condition.wait
-        # releases the lock exactly once, so a nested hold would deadlock.
+        # A waiting thread must not park inside a nested hold: the enclosing
+        # section would lose its mutual exclusion while this thread sleeps,
+        # or (under multisynch) sleep holding the other monitors' locks.
         # Inside a nested call (e.g. a monitor method invoked under
         # multisynch) the wait is legal only when the predicate already
         # holds — which it does in the paper's idioms, since the enclosing

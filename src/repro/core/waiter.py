@@ -2,10 +2,13 @@
 
 Each blocked ``wait_until`` call owns a Waiter: its closure predicate (and
 the predicate's compiled evaluator), the tag records it was indexed under,
-the registration plan whose expression-cache keys it pinned, and a private
-condition variable bound to the monitor lock so that the relay rule can
+the registration plan whose expression-cache keys it pinned, and its
+thread's :class:`~repro.runtime.parking.Parker`, so that the relay rule can
 wake exactly this thread (the framework never broadcasts; relay
-invariance makes ``signalAll`` unnecessary).
+invariance makes ``signalAll`` unnecessary).  A signal sets ``signaled``
+and unparks the thread, under the monitor lock; the parked thread loops
+until it sees ``signaled`` (or its deadline or cancel token fires), so a
+stale permit left on its Parker costs one extra trip round that loop.
 
 A signaled waiter whose thread has not yet re-acquired the lock holds the
 monitor's relay *baton* (``baton``): the condition manager skips its
@@ -15,13 +18,14 @@ own slot, never inferred from ``signaled``, so the manager's baton count
 falls exactly once per signal.
 
 Waiters are *recycled*: when a waiter deregisters, the condition manager
-returns the whole object — condition variable included — to an inactive
-pool bounded by the paper's 2n rule (§2.5.1), so a steady-state wait/wake
-churn allocates no new Waiter or Condition objects at all.
+returns the whole object to an inactive pool bounded by the paper's 2n
+rule (§2.5.1), so a steady-state wait/wake churn allocates no new Waiter
+at all.  A pooled waiter may next serve another thread, so :meth:`reset`
+takes the Parker of the thread that parks.
 
 :class:`AsyncWaiter` is the *waiterless* variant backing the asyncio
 frontend (:mod:`repro.aio`): same registration, predicate machinery and
-relay eligibility, but no parked thread and no condition variable — the
+relay eligibility, but no parked thread and no Parker — the
 wake action is a callable the signaler runs (a threadsafe event-loop
 callback in practice).  Async waiters are never pooled.  A multisynch
 global wait is the same kind of record, one per monitor that checks it.
@@ -34,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.predicates import Predicate
 from repro.runtime.atomics import AtomicFlag
+from repro.runtime.parking import current_parker
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.tag_index import TagRecord
@@ -43,16 +48,15 @@ class Waiter:
     """One blocked thread's registration with a condition manager."""
 
     __slots__ = (
-        "predicate", "eval_fn", "cv", "signaled", "records", "plan",
+        "predicate", "eval_fn", "parker", "signaled", "records", "plan",
         "thread_id", "poison", "read_set", "untagged", "pending",
         "deliver", "baton",
     )
 
-    def __init__(self, predicate: Predicate, lock: threading.RLock,
-                 cv: threading.Condition | None = None):
-        # condition variables ride along with recycled waiters; a fresh one
-        # is built only for a brand-new Waiter (or an explicit ``cv``)
-        self.cv = cv if cv is not None else threading.Condition(lock)
+    def __init__(self, predicate: Predicate, lock: threading.RLock):
+        # ``lock`` is the monitor lock the waiter parks under; the condition
+        # manager releases and re-acquires it around the park, so the
+        # waiter itself keeps no reference to it
         self.records: list["TagRecord"] = []
         self.reset(predicate)
 
@@ -68,6 +72,8 @@ class Waiter:
         #: in the manager's refcounted tables
         self.plan = None
         self.thread_id = threading.get_ident()
+        #: the parking thread's permit: a signal unparks it
+        self.parker = current_parker()
         #: exception raised while another thread evaluated this predicate;
         #: re-raised in the owning thread when it wakes
         self.poison: Optional[BaseException] = None
@@ -79,8 +85,8 @@ class Waiter:
         #: True while queued for (re-)evaluation at the next relay search
         self.pending = False
         #: waiterless (event-loop) waiters override this with the wake
-        #: action to run instead of a CV notify; None means a parked thread
-        #: owns this record and the relay signals its condition variable
+        #: action to run instead of an unpark; None means a parked thread
+        #: owns this record and the relay unparks it
         self.deliver = None
         #: True from the relay's signal until this thread resumes holding
         #: the lock or deregisters (the condition manager's baton count)
@@ -96,9 +102,10 @@ class Waiter:
         return self.eval_fn(monitor)
 
     def signal(self) -> None:
-        """Wake this waiter (caller holds the monitor lock)."""
+        """Wake this waiter (caller holds the monitor lock): set its flag,
+        then unpark its thread."""
         self.signaled = True
-        self.cv.notify()
+        self.parker.unpark()
 
     def describe(self) -> str:
         """Lock-free description for diagnostics (inspector, dump_waiters).
@@ -131,7 +138,7 @@ class AsyncWaiter(Waiter):
     Joins the condition manager's structures exactly like a threaded waiter
     — tag records, dependency buckets — so the
     relay-invariance argument (Prop. 2) is unchanged.  What differs is the
-    wake side: there is no condition variable; when a signaler finds this
+    wake side: there is no Parker; when a signaler finds this
     waiter satisfied (or poisons it) it *claims* the record and runs
     ``deliver(outcome)`` — for the asyncio frontend, a
     ``loop.call_soon_threadsafe`` hop that resolves an ``asyncio.Future``.
@@ -152,9 +159,9 @@ class AsyncWaiter(Waiter):
 
     def __init__(self, predicate: Predicate,
                  deliver: Callable[[Optional[BaseException]], None]):
-        self.cv = None  # type: ignore[assignment] — nothing parks on this
         self.records = []
         self.reset(predicate)
+        self.parker = None  # type: ignore[assignment] — nothing parks on this
         self.deliver = deliver
         self.claimed = AtomicFlag()
 

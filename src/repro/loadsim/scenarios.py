@@ -624,7 +624,7 @@ def run_worker_failure(
         # chaos site on its own; wake the supervised servers and the first
         # to iterate takes the (one-shot) kill
         for sup in svc.supervisors:
-            sup.server._wake.set()
+            sup.server.wake()
 
     sim = LoadSimulator(
         svc,

@@ -7,7 +7,7 @@ strategy), all sharing one claim; ``Multisynch._release_all`` registers
 each in its monitor's condition manager right after that monitor's own
 relay.  Every later section end of the monitor runs the relay, which finds
 a record whose predicate holds through the tag index and the dependency
-buckets and delivers it: the global waiter's event is set.  A monitor no
+buckets and delivers it: the global waiter's thread is unparked.  A monitor no
 global wait checks runs no code of this layer on exit.
 
 Each monitor also keeps the *involved table*: every waiter whose predicate

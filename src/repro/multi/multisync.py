@@ -382,24 +382,29 @@ class Multisynch:
             raise WaitCancelledError(
                 "global wait cancelled before parking", cancel.reason)
         waiter = GlobalWaiter(condition, self.strategy)
-        wake_cb = None
+        parker = waiter.parker
+        park = parker.park
+        wake = None
         if cancel is not None:
-            # Event.set is safe from any thread and idempotent; the woken
-            # loop observes the token after deregistering.
-            wake_cb = waiter.event.set
-            cancel.add_callback(wake_cb)
+            # unpark is safe from any thread, idempotent and takes no lock;
+            # the park loop sees the token itself
+            wake = parker.unpark
+            cancel.add_callback(wake)
         try:
             while True:
                 self._release_all(manager.register(waiter))
-                if deadline is None:
-                    waiter.event.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining > 0:
-                        waiter.event.wait(remaining)
-                # cleared on waking, not at the next park: a cancel that
-                # fires from here on still sets it for that park
-                waiter.event.clear()
+                while not waiter.fired:
+                    if cancel is not None and cancel.cancelled():
+                        break
+                    if deadline is None:
+                        park()
+                    else:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0 or not park(remaining):
+                            break
+                # cleared on waking, not before the next park: a wake
+                # that lands after this point ends the next park at once
+                waiter.fired = False
                 self._acquire_all()
                 manager.deregister(waiter)
                 broken = next(
@@ -420,8 +425,8 @@ class Multisynch:
                     raise WaitTimeoutError(
                         f"global wait on {condition!r} timed out")
         finally:
-            if wake_cb is not None:
-                cancel.remove_callback(wake_cb)
+            if wake is not None:
+                cancel.remove_callback(wake)
 
     def __repr__(self):
         ids = [m.monitor_id for m in self.monitors]

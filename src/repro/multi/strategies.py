@@ -30,8 +30,6 @@ counts the atom as true (§4.2.4).
 
 from __future__ import annotations
 
-import threading
-
 from repro.core.predicates import Atom, Or, Predicate
 from repro.multi.global_predicates import (
     GAnd,
@@ -40,6 +38,7 @@ from repro.multi.global_predicates import (
     compute_critical,
     group_by_monitor,
 )
+from repro.runtime.parking import current_parker
 
 STRATEGIES = ("AS", "AV", "CC")
 
@@ -48,15 +47,20 @@ _NO_READS: frozenset = frozenset()
 
 
 class GlobalWaiter:
-    """One thread blocked on one global condition."""
+    """One thread blocked on one global condition.
 
-    __slots__ = ("predicate", "strategy", "event", "monitors", "cells",
-                 "checks", "records")
+    A wake sets ``fired`` and unparks the waiting thread's Parker; the
+    thread parks until it sees ``fired`` (or its deadline or cancel token
+    fires) and clears the flag on waking."""
+
+    __slots__ = ("predicate", "strategy", "parker", "fired", "monitors",
+                 "cells", "checks", "records")
 
     def __init__(self, predicate: GlobalNode, strategy: str):
         self.predicate = predicate
         self.strategy = strategy
-        self.event = threading.Event()
+        self.parker = current_parker()
+        self.fired = False
         self.monitors = sorted(predicate.monitors(), key=lambda m: m.monitor_id)
         #: AV state: id(atom) -> the atom's boolean cell
         self.cells: dict[int, bool] = {}
@@ -97,7 +101,8 @@ class GlobalWaiter:
         return Predicate(Or([atom.predicate.root for atom in atoms]))
 
     def signal(self) -> None:
-        self.event.set()
+        self.fired = True
+        self.parker.unpark()
 
 
 class _Check(Atom):

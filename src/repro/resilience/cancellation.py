@@ -38,12 +38,17 @@ __all__ = ["CancelTimer", "CancelToken"]
 class CancelToken:
     """A sticky, thread-safe cancellation flag with wakeup callbacks.
 
-    Waiters register a callback (that signals their condition variable /
-    event) before parking; ``cancel()`` runs every registered callback so
-    no wait sleeps through its own cancellation.  Callbacks run on the
-    *cancelling* thread and must therefore be cheap and lock-disciplined —
-    the framework's internal wakers only notify a CV under its own lock
-    (reentrant-safe even when the canceller is inside the same monitor).
+    Waiters register a callback (that wakes their parked thread) before
+    parking; ``cancel()`` runs every registered callback so no wait sleeps
+    through its own cancellation.  Callbacks run on the *cancelling*
+    thread and must therefore be cheap and non-blocking.  The framework's
+    own wakers are the parked thread's bare
+    :meth:`~repro.runtime.parking.GilParker.unpark`, which takes no lock:
+    ``cancel()`` never waits for a monitor some other thread holds (the
+    shared ``repro-cancel-scheduler`` thread fires every ``cancel_after``
+    timer in the process), and the woken thread re-checks the token
+    itself.  An unpark that arrives after its wait already returned leaves
+    a stale permit, which the thread's next park absorbs.
     """
 
     __slots__ = ("_lock", "_cancelled", "_reason", "_callbacks")

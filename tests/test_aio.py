@@ -462,6 +462,33 @@ def test_wait_until_poisoned_monitor_propagates():
     asyncio.run(main())
 
 
+class BaselineGate(Monitor):
+    def __init__(self):
+        super().__init__(signaling="baseline")
+        self.opened = 0
+
+    def open(self):
+        self.opened += 1
+
+
+def test_wait_until_on_a_baseline_monitor():
+    """A baseline monitor's relay delivers async waiters too: one wakes
+    after a write, and a second fails with BrokenMonitorError when the
+    monitor is marked broken."""
+    async def main():
+        gate = BaselineGate()
+        client = AsyncMonitorClient(gate)
+        threading.Timer(0.02, gate.open).start()
+        await asyncio.wait_for(client.wait_until(S.opened > 0), timeout=2.0)
+        threading.Timer(
+            0.02, gate.mark_broken, (RuntimeError("corrupt"),)).start()
+        with pytest.raises(BrokenMonitorError):
+            await asyncio.wait_for(
+                client.wait_until(S.opened > 1), timeout=2.0)
+
+    asyncio.run(main())
+
+
 def test_cancelling_the_waiting_task_abandons_the_registration():
     async def main():
         gate = Gate()

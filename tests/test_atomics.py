@@ -7,9 +7,9 @@ build; on a free-threaded build ``AtomicCounter`` *is* the locked class,
 so the Gil* stress here only documents the GIL build's guarantee).
 
 The forced-locked subprocess tests at the bottom re-run the scqueue
-linearizability suite and the relay-differential suites with
-``REPRO_ATOMICS=locked`` so ordinary GIL builds exercise exactly the code
-the free-threaded lane will run.
+linearizability suite, the relay-differential suites and the park
+primitive's suite with ``REPRO_ATOMICS=locked`` so ordinary GIL builds
+exercise exactly the code the free-threaded lane will run.
 """
 
 import os
@@ -230,4 +230,11 @@ def test_relay_differential_survives_locked_lane():
         "tests/test_relay_search_properties.py",
         "tests/test_dependency_tracking.py::test_filtered_relay_matches_exhaustive_search",
     )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(FORCED_LOCKED, reason="already running forced-locked")
+def test_parker_survives_locked_lane():
+    """The park primitive's tests on its locked form, selected at import."""
+    proc = _run_locked("tests/test_parking.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -17,6 +17,7 @@ from repro.core.waiter import Waiter
 from repro.preprocess import monitor_compile, waituntil
 from repro.runtime.config import get_config
 from repro.runtime.errors import BrokenMonitorError, WaitTimeoutError
+from repro.runtime.parking import current_parker
 
 
 class Board(Monitor):
@@ -210,7 +211,7 @@ class TestHousekeeping:
 
     def test_a_second_deregistration_is_a_no_op(self):
         """Deregistering a waiter twice pools it once: the next two parks
-        get two waiters, each with its own condition variable."""
+        get two waiters, each re-armed with the parking thread's Parker."""
         b = Board()
         mgr = b._cond_mgr
         pred = Predicate(S.x == 1)
@@ -222,7 +223,7 @@ class TestHousekeeping:
             first = mgr._obtain_waiter(pred)
             second = mgr._obtain_waiter(pred)
             assert first is not second
-            assert first.cv is not second.cv
+            assert first.parker is second.parker is current_parker()
             mgr._deregister(first)
             mgr._deregister(second)
         assert mgr.waiting_count() == 0

@@ -154,14 +154,14 @@ class TestPolicies:
 
 
 class TestLazyConditionVariable:
-    """LightFuture allocates no CV until a thread actually blocks in get."""
+    """LightFuture records no waker until a thread actually blocks in get."""
 
     def test_fast_path_never_allocates_cv(self):
         f = LightFuture()
-        assert f._cv is None
+        assert f._getters is None
         f.set_result(1)
         assert f.get() == 1
-        assert f._cv is None
+        assert f._getters is None
 
     def test_blocking_get_installs_cv_and_wakes(self):
         import time
@@ -171,9 +171,9 @@ class TestLazyConditionVariable:
         t = threading.Thread(target=lambda: got.append(f.get(5)), daemon=True)
         t.start()
         deadline = time.monotonic() + 5
-        while f._cv is None and time.monotonic() < deadline:
+        while f._getters is None and time.monotonic() < deadline:
             time.sleep(0.001)
-        assert f._cv is not None     # the getter parked and installed a CV
+        assert f._getters is not None  # the getter parked and recorded its Parker
         f.set_result(42)
         t.join(5)
         assert got == [42]

@@ -901,6 +901,45 @@ class TestCancelToken:
         tok.remove_callback(cb)
         tok.cancel()
 
+    @pytest.mark.parametrize("signaling", ["autosynch", "baseline"])
+    def test_cancel_never_waits_for_the_monitor_lock(self, signaling):
+        """cancel() wakes a parked waiter without taking its monitor's
+        lock: it returns at once while another thread holds the monitor
+        for 0.5 s (the shared cancel scheduler thread fires every
+        cancel_after timer in the process, so it must never block)."""
+        g = Gate(signaling=signaling)
+        tok = CancelToken()
+        outcome: list = []
+
+        def waiter():
+            try:
+                g.wait_open(cancel=tok)
+            except WaitCancelledError:
+                outcome.append("cancelled")
+
+        t = _spawn(waiter)
+        deadline = time.monotonic() + 5.0
+        while g.metrics.snapshot().get("waits", 0) < 1:
+            assert time.monotonic() < deadline, "the waiter never parked"
+            time.sleep(0.001)
+        time.sleep(0.05)
+        held = threading.Event()
+
+        def hold():
+            with g._lock:
+                held.set()
+                time.sleep(0.5)
+
+        h = _spawn(hold)
+        assert held.wait(5.0)
+        t0 = time.monotonic()
+        tok.cancel()
+        elapsed = time.monotonic() - t0
+        h.join(5.0)
+        t.join(5.0)
+        assert elapsed < 0.25
+        assert outcome == ["cancelled"]
+
 
 # ==================================================== decorrelated backoff
 class _FakeServer:
@@ -982,7 +1021,7 @@ class TestBackoffJitter:
             m.tick().get(timeout=2.0)
             with chaos.active(seed=1, sites=("server_loop",),
                               kill={"server_loop": 1}):
-                m.server._wake.set()
+                m.server.wake()
                 deadline = time.monotonic() + 5.0
                 while sup.restarts == 0 and time.monotonic() < deadline:
                     time.sleep(0.01)
