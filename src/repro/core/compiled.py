@@ -26,6 +26,11 @@ This module code-generates the equivalent flat closure
   interpreter — :func:`compile_predicate` returns ``None`` and callers keep
   the ``Predicate.evaluate`` bound method.
 
+The tag index's canonical shared-expression keys compile the same way
+(:func:`compile_expr_key`); their executable specification is the
+reference interpreter beside it (:func:`interpret_expr_key`), which also
+evaluates every key compilation declines.
+
 Differential safety: the interpreter remains the executable specification.
 :func:`crosscheck` wraps every compiled evaluator so both paths run and any
 divergence (value, truthiness, or raised exception) fails loudly; the test
@@ -43,6 +48,7 @@ from typing import Any, Callable, Optional
 __all__ = [
     "compile_predicate",
     "compile_expr_key",
+    "interpret_expr_key",
     "crosscheck",
     "crosscheck_active",
     "cache_info",
@@ -232,13 +238,13 @@ def compile_expr_key(
     """Compile a canonical shared-expression key to a flat evaluator.
 
     ``expr_key`` is the tag normalizer's ``((term_key, coeff), ...)`` form;
-    ``resolve_node(term_key)`` returns the registered ``Expr`` node for
+    ``resolve_node(term_key)`` returns the predicate's ``Expr`` node for
     non-``("var", name)`` terms (or ``None`` when unknown, which aborts
     compilation so the interpreter's lazy TypeError behavior is preserved).
-    Matches ``ConditionManager._evaluate_expr_key`` exactly: a single
-    unit-coefficient term returns the raw term value; otherwise terms are
-    accumulated left-to-right onto an int ``0``, so integer state sums
-    exactly at any magnitude.
+    Matches :func:`interpret_expr_key` exactly: a single unit-coefficient
+    term returns the raw term value; otherwise terms are accumulated
+    left-to-right onto an int ``0``, so integer state sums exactly at any
+    magnitude.
     """
     env: list = []
 
@@ -272,6 +278,46 @@ def compile_expr_key(
         with _cache_lock:
             _stats["fallbacks"] += 1
         return None
+
+
+def interpret_expr_key(
+    expr_key: tuple,
+    resolve_node: Callable[[Any], Any],
+) -> Callable[[Any], Any]:
+    """The reference interpreter of a canonical shared-expression key.
+
+    Returns an evaluator (monitor → value) that reads a ``("var", name)``
+    term off the monitor and evaluates any other term through the node
+    ``resolve_node`` gives for it; a term with no node raises TypeError
+    when evaluated.  A single unit-coefficient term is the raw term value
+    (which also covers non-numeric equality keys such as object identity);
+    otherwise the terms accumulate onto an int ``0``, so integer state
+    sums exactly.  The tag index evaluates a key through this where
+    :func:`compile_expr_key` declines it or ``compile_predicates`` is off,
+    and the differential tests hold the compiled form to it.
+    """
+    def reader(term_key: Any) -> Callable[[Any], Any]:
+        if isinstance(term_key, tuple) and len(term_key) == 2 and term_key[0] == "var":
+            name = term_key[1]
+            return lambda m: getattr(m, name)
+        node = resolve_node(term_key)
+        if node is not None:
+            return node.evaluate
+
+        def unknown(m):
+            raise TypeError(f"cannot evaluate term {term_key!r}")
+        return unknown
+
+    terms = [(reader(term_key), coeff) for term_key, coeff in expr_key]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return terms[0][0]
+
+    def interpreted(m):
+        total = 0
+        for read, coeff in terms:
+            total += coeff * read(m)
+        return total
+    return interpreted
 
 
 # --------------------------------------------------------------------------

@@ -20,14 +20,15 @@ fires, then re-acquires; a signal sets the waiter's flag and unparks its
 thread, under the lock.  A return from ``park()`` is never a signal, so a
 stale permit costs one loop trip, and a cancel callback is the bare
 ``unpark``, which takes no lock.  Baseline threads park the same way,
-on waiters kept out of ``waiters``.
+on waiters kept out of ``waiters``, so no search picks one, but counted
+by the diagnostic views.
 
 Hot-path invariants (see docs/performance.md): the already-true
 ``wait_until`` fast path and a no-candidate relay allocate nothing — config
 reads go through :func:`config_snapshot`, predicates evaluate through
 compiled closures (:mod:`repro.core.compiled`), phase timers exist only
 when ``phase_timing`` is on, non-event counters bump by direct attribute
-increment, tag-search callbacks are pre-bound, and Waiter objects
+increment, the tag-search callback is pre-bound, and Waiter objects
 recycle through an inactive pool.
 
 Dependency-tracked relay (docs/performance.md): untagged (None-tag) waiters
@@ -37,8 +38,9 @@ here (:meth:`relay_signal`), which queues exactly the waiters whose
 predicates could have flipped.  A relay search evaluates the queued
 waiters (plus opaque-read-set ones, every time), so the untagged search
 is O(affected), not O(waiters).  The tag search evaluates each
-canonical shared expression directly through its compiled evaluator: one
-evaluation costs less than any bookkeeping that could skip it.
+canonical shared expression directly through the evaluator its table or
+heap holds (:mod:`repro.core.tag_index`): one evaluation costs less than
+any bookkeeping that could skip it.
 
 One wake path: :meth:`relay_signal` is the only section-exit routine, and
 every exit runs it with no argument.  The tag-index probe is skipped while
@@ -54,14 +56,14 @@ active thread relay invariance (Prop. 2) asks for, and it runs the relay
 itself when it exits, re-parks or abandons.
 
 Registration plans: what a park derives from its predicate alone — the
-tags (Algorithm 1), the shared sub-expression nodes, the compiled
-evaluator of each tagged expression key — is built once per
-:class:`~repro.core.predicates.Predicate` (:func:`registration_plan`,
-:func:`tag_evaler`) and kept on it, so a reused predicate (a closed
-``waituntil`` site) parks by appending, filing its tags and bumping
-refcounts.  The manager's
-refcounted node and evaluator tables stay: they serve the interpreter
-fallback and bound memory for predicates built per call.
+tags (Algorithm 1) and the evaluator of each tagged expression key — is
+built once per :class:`~repro.core.predicates.Predicate`
+(:func:`registration_plan`, :func:`tag_evaler`) and kept on it, so a
+reused predicate (a closed ``waituntil`` site) parks by appending and
+filing its tags.  The manager keeps no table keyed by expression key
+and evaluates no key itself: a tag filed into a table or heap with no
+evaluator hands it the one :func:`tag_evaler` returns, and the holder
+drops it with its last waiter.
 
 Free-threading contract (no-GIL audit, docs/performance.md): every mutable
 structure here — ``var_gens`` bumps, ``_dirty`` flushes, dependency-bucket
@@ -95,7 +97,6 @@ import time
 from typing import Any, Callable, NamedTuple, Optional
 
 from repro.core import compiled
-from repro.core.expressions import Expr
 from repro.core.predicates import Comparison, Predicate
 from repro.core.tag_index import TagIndex
 from repro.core.tags import TagKind, tag_predicate
@@ -118,43 +119,28 @@ _POOL_FACTOR = 2
 class RegistrationPlan(NamedTuple):
     """What registering a waiter derives from its predicate alone."""
 
-    #: ``(key, node)`` for every shared sub-expression node of the
-    #: predicate's comparisons whose structural key is hashable: a waiter
-    #: pins each key in the manager's node cache
-    nodes: tuple
-    #: the tags of the tagged conjunctions (Algorithm 1), in order: a
-    #: waiter pins each tag's expression key in the evaluator table
+    #: the tags of the tagged conjunctions (Algorithm 1), in order
     tags: tuple
     #: whether some conjunction is untagged
     untagged: bool
-    #: each tag's compiled key evaluator (None where compilation
-    #: declined), or None until a registration first needs one
+    #: each tag's key evaluator, or None until a registration first needs
+    #: one
     evalers: Optional[tuple] = None
+    #: the ``compile_predicates`` setting ``evalers`` were built under
+    compiled: bool = False
 
 
 def registration_plan(predicate: Predicate) -> RegistrationPlan:
     """``predicate``'s registration plan, built at its first park.
 
     The plan depends on the predicate alone, so every monitor shares it.
-    It is never mutated: :func:`tag_evaler` publishes the compiled
-    evaluators by storing a new plan, and two threads that build it at
-    once store equal plans.
+    It is never mutated: :func:`tag_evaler` publishes the key evaluators
+    by storing a new plan, and two threads that build it at once store
+    equal plans.
     """
     plan = predicate._plan
     if plan is not None:
         return plan
-    nodes = []
-    for conj in predicate.conjunctions:
-        for atom in conj:
-            if not isinstance(atom, Comparison):
-                continue
-            for node in atom.shared_subexpressions():
-                try:
-                    key = node.key()
-                    hash(key)
-                except TypeError:
-                    continue  # unhashable constant keys are never looked up
-                nodes.append((key, node))
     tags = []
     untagged = False
     for tag in tag_predicate(predicate.conjunctions):
@@ -162,32 +148,49 @@ def registration_plan(predicate: Predicate) -> RegistrationPlan:
             untagged = True
         else:
             tags.append(tag)
-    plan = predicate._plan = RegistrationPlan(tuple(nodes), tuple(tags),
-                                              untagged)
+    plan = predicate._plan = RegistrationPlan(tuple(tags), untagged)
     return plan
 
 
-def tag_evaler(predicate: Predicate, i: int) -> Optional[Callable[[Any], Any]]:
-    """The compiled evaluator of the expression key of ``predicate``'s
-    ``i``-th tag, or None where compilation declined it.
+def tag_evaler(predicate: Predicate, i: int) -> Callable[[Any], Any]:
+    """The evaluator of the shared expression of ``predicate``'s ``i``-th
+    tag: compiled, or the reference interpreter
+    (:func:`~repro.core.compiled.interpret_expr_key`) where compilation
+    declines or ``compile_predicates`` is off.
 
-    The first call compiles every tagged key of the predicate, resolving
-    terms against its own nodes (they carry the structural keys of the
-    manager's node cache), and keeps the evaluators in its plan.  A
-    manager asks only for a key its evaluator table lacks, so a predicate
-    built per call compiles nothing while another parked waiter's entry
+    The first call builds an evaluator for every tagged key of the
+    predicate, resolving terms against the predicate's own expression
+    nodes, and keeps them in its plan until the setting changes.  A
+    registration asks only when the tag's table or heap has no evaluator,
+    so a predicate built per call compiles nothing while a live holder
     covers its key.
     """
     plan = predicate._plan
-    evalers = plan.evalers
-    if evalers is None:
-        resolve = dict(plan.nodes).get
-        by_key = {tag.expr_key: None for tag in plan.tags}
-        for key in by_key:
-            by_key[key] = compiled.compile_expr_key(key, resolve)
-        evalers = tuple(by_key[tag.expr_key] for tag in plan.tags)
-        predicate._plan = plan._replace(evalers=evalers)
-    return evalers[i]
+    compile_on = config_snapshot().compile_predicates
+    if plan.evalers is None or plan.compiled is not compile_on:
+        nodes = {}
+        for conj in predicate.conjunctions:
+            for atom in conj:
+                if isinstance(atom, Comparison):
+                    for node in atom.shared_subexpressions():
+                        try:
+                            nodes[node.key()] = node
+                        except TypeError:
+                            pass  # an unhashable constant key: never looked up
+        resolve = nodes.get
+        by_key = {}
+        for tag in plan.tags:
+            key = tag.expr_key
+            if key not in by_key:
+                fn = (compiled.compile_expr_key(key, resolve)
+                      if compile_on else None)
+                if fn is None:
+                    fn = compiled.interpret_expr_key(key, resolve)
+                by_key[key] = fn
+        plan = predicate._plan = plan._replace(
+            evalers=tuple(by_key[tag.expr_key] for tag in plan.tags),
+            compiled=compile_on)
+    return plan.evalers[i]
 
 
 class ConditionManager:
@@ -212,20 +215,9 @@ class ConditionManager:
         self.generation = 0
         self.waiters: list[Waiter] = []     # insertion order (autosynch_t scan)
         self.index = TagIndex()             # tag structures (autosynch)
-        #: baseline mode: the waiters of the parked threads, all signaled
-        #: by the next broadcast
+        #: baseline mode: the waiters of the threads inside a wait, each
+        #: signaled by every broadcast that finds it parked
         self._parked: list[Waiter] = []
-        #: registered sub-expression nodes by structural key, refcounted by
-        #: the waiters whose predicates mention them — evicted when the last
-        #: referencing waiter deregisters, so long-lived monitors that see
-        #: many distinct closures don't grow without bound
-        self._expr_cache: dict[Any, Expr] = {}
-        self._expr_refs: dict[Any, int] = {}
-        #: compiled evaluators for canonical shared-expression keys (the
-        #: tag search's ``evaluate_expr``), refcounted the same way; a None
-        #: value means "compilation declined — use the interpreter"
-        self._expr_evalers: dict[Any, Optional[Callable[[Any], Any]]] = {}
-        self._evaler_refs: dict[Any, int] = {}
         #: §2.5.1: recycled Waiter objects — when a waiter leaves it joins
         #: an inactive pool for reuse, bounded by ``_POOL_FACTOR × live
         #: waiters`` (the paper's 2n cap)
@@ -236,9 +228,8 @@ class ConditionManager:
         #: on free-threaded builds); drained under the lock by the next
         #: relay signal.
         self._async_reap: list[Waiter] = []
-        # pre-bound tag-search callbacks: binding methods per relay call
-        # would allocate two method objects on every monitor exit
-        self._search_expr_cb = self._search_expr
+        # the pre-bound tag-search callback: binding the method per relay
+        # call would allocate a method object on every monitor exit
         self._search_pred_cb = self._search_pred
         # ---- dependency tracking -------------------------------------
         #: the monitor's dirty set, or None when it does not participate in
@@ -407,9 +398,10 @@ class ConditionManager:
     def _wait_baseline(self, predicate: Predicate, ev: Callable[[Any], Any],
                        deadline: Optional[float] = None,
                        cancel: "Optional[CancelToken]" = None) -> None:
-        """Baseline's park: the thread's waiter joins the broadcast list
-        (``_parked``), never ``waiters``, so no search can pick it; each
-        broadcast signals every parked waiter, and each re-checks its own
+        """Baseline's park: for the whole wait the thread's waiter sits in
+        the broadcast list (``_parked``), never in ``waiters``, so no search
+        can pick it while the diagnostic views count it; each broadcast
+        signals every parked waiter, and each re-checks its own
         predicate."""
         m = self.metrics
         monitor = self.monitor
@@ -422,6 +414,7 @@ class ConditionManager:
         if cancel is not None:
             wake = waiter.parker.unpark
             cancel.add_callback(wake)
+        parked.append(waiter)
         try:
             while True:
                 if cancel is not None and cancel.cancelled():
@@ -430,12 +423,8 @@ class ConditionManager:
                 if deadline is not None and deadline <= time.monotonic():
                     m.bump("wait_timeouts")
                     raise WaitTimeoutError("wait timed out")
-                parked.append(waiter)
                 self._park(waiter, deadline, cancel)
-                if waiter.signaled:
-                    waiter.signaled = False
-                else:
-                    parked.remove(waiter)  # left before any broadcast
+                waiter.signaled = False
                 m.bump("wakeups")
                 broken = getattr(monitor, "_broken", None)
                 if broken is not None:
@@ -448,6 +437,7 @@ class ConditionManager:
                     return
                 m.bump("futile_wakeups")
         finally:
+            parked.remove(waiter)
             if wake is not None:
                 cancel.remove_callback(wake)
             # baseline signaling is broadcast: a departing waiter cannot
@@ -455,12 +445,12 @@ class ConditionManager:
 
     def _broadcast(self) -> None:
         """Baseline's wake (caller holds the lock): signal every parked
-        baseline waiter; each re-checks its own predicate."""
-        parked = self._parked
-        if parked:
-            for waiter in parked:
+        baseline waiter; each re-checks its own predicate.  A waiter still
+        signaled has not resumed since an earlier broadcast: it will
+        re-check anyway."""
+        for waiter in self._parked:
+            if not waiter.signaled:
                 waiter.signal()
-            parked.clear()
 
     # ---------------------------------------------------------------- signal
     def relay_signal(self) -> Optional[Waiter]:
@@ -667,11 +657,12 @@ class ConditionManager:
         if self._tagged:
             if snap.phase_timing:
                 with PhaseTimer(self.metrics, "tag_time"):
-                    waiter = self.index.search(self._search_expr_cb,
-                                               self._search_pred_cb)
+                    waiter = self.index.search(self.monitor,
+                                               self._search_pred_cb,
+                                               self.metrics)
             else:
-                waiter = self.index.search(self._search_expr_cb,
-                                           self._search_pred_cb)
+                waiter = self.index.search(self.monitor, self._search_pred_cb,
+                                           self.metrics)
             if waiter is not None:
                 return waiter
         monitor = self.monitor
@@ -726,16 +717,6 @@ class ConditionManager:
             self.metrics.predicate_evals += evals
         return found
 
-    def _search_expr(self, expr_key: Any) -> Any:
-        """The tag search's ``evaluate_expr``: one tag check, evaluated
-        through the key's compiled evaluator, or interpreted when
-        compilation was declined or ``compile_predicates`` is off."""
-        self.metrics.tag_checks += 1
-        fn = self._expr_evalers.get(expr_key)
-        if fn is not None:
-            return fn(self.monitor)
-        return self._evaluate_expr_key(expr_key)
-
     def _search_pred(self, waiter: Waiter) -> bool:
         """Evaluate a waiter's predicate on behalf of another thread.
 
@@ -770,26 +751,15 @@ class ConditionManager:
             return
         predicate = waiter.predicate
         plan = registration_plan(predicate)
-        # pin every sub-expression node by structural key, so the tag
-        # search can interpret a canonical shared expression from its key
-        cache, refs = self._expr_cache, self._expr_refs
-        for key, node in plan.nodes:
-            if key not in cache:
-                cache[key] = node
-            refs[key] = refs.get(key, 0) + 1
-        waiter.plan = plan
         if plan.tags:
             add = self.index.add
             records = waiter.records
-            evalers, evaler_refs = self._expr_evalers, self._evaler_refs
             for i, tag in enumerate(plan.tags):
-                records.append(add(tag, waiter))
-                key = tag.expr_key
-                evaler_refs[key] = evaler_refs.get(key, 0) + 1
-                if key not in evalers:
-                    evalers[key] = (
-                        tag_evaler(predicate, i)
-                        if config_snapshot().compile_predicates else None)
+                record = add(tag, waiter)
+                records.append(record)
+                holder = record.holder
+                if holder.evaluate is None:
+                    holder.evaluate = tag_evaler(predicate, i)
             self._tagged += 1
         if plan.untagged:
             # untagged conjunctions go to the dependency-filtered
@@ -859,28 +829,6 @@ class ConditionManager:
                         pass
                     if not bucket:
                         del buckets[name]
-        # drop the waiter's pins on the expression caches; the entry (and
-        # its compiled evaluator) dies with its last referencing waiter
-        plan = waiter.plan
-        if plan is not None:
-            waiter.plan = None
-            cache, refs = self._expr_cache, self._expr_refs
-            for key, _ in plan.nodes:
-                n = refs.get(key, 0) - 1
-                if n <= 0:
-                    refs.pop(key, None)
-                    cache.pop(key, None)
-                else:
-                    refs[key] = n
-            evalers, refs = self._expr_evalers, self._evaler_refs
-            for tag in plan.tags:
-                key = tag.expr_key
-                n = refs.get(key, 0) - 1
-                if n <= 0:
-                    refs.pop(key, None)
-                    evalers.pop(key, None)
-                else:
-                    refs[key] = n
         # recycle the whole waiter (paper §2.5.1): cap the inactive pool at
         # factor × live waiters, minimum a small constant.  Async waiters
         # are never pooled — their claim flag is single-use.
@@ -892,8 +840,9 @@ class ConditionManager:
             self._waiter_pool.append(waiter)
 
     def dump_waiters(self) -> list[str]:
-        """Human-readable descriptions of every parked predicate — the
-        first thing to look at when a program seems wedged.
+        """Human-readable descriptions of every parked predicate, parked
+        baseline threads included — the first thing to look at when a
+        program seems wedged.
 
         Each line carries the predicate's read set and the current write
         generation of every variable it reads (every tracked variable for
@@ -902,7 +851,7 @@ class ConditionManager:
         """
         gens = self.var_gens
         out = []
-        for w in self.waiters:
+        for w in self.waiters + self._parked:
             pred = w.predicate
             rs = pred.read_set() if pred is not None else None
             reads = "{" + ",".join(sorted(rs)) + "}" if rs is not None else "?"
@@ -912,8 +861,9 @@ class ConditionManager:
         return out
 
     def obligation_view(self) -> list:
-        """Racy snapshot of each parked waiter's signal obligation:
-        ``(waiter, read_set, description)`` triples.
+        """Racy snapshot of each parked waiter's signal obligation, parked
+        baseline threads included: ``(waiter, read_set, description)``
+        triples.
 
         Unlike :attr:`Waiter.read_set` (populated only for untagged
         waiters), the read set here always comes from the predicate, so
@@ -925,7 +875,7 @@ class ConditionManager:
         obligation checks both classify this one snapshot.
         """
         out = []
-        for w in list(self.waiters):
+        for w in self.waiters + self._parked:
             pred = w.predicate
             if pred is None:  # retired under us (pool recycling race)
                 continue
@@ -937,32 +887,7 @@ class ConditionManager:
             out.append((w, rs, desc))
         return out
 
-    def _evaluate_expr_key(self, expr_key: Any) -> Any:
-        """Interpret the canonical shared expression identified by a key.
-
-        Keys produced by the linear normalizer are tuples of ``(term_key,
-        coeff)``; each term key is ``("var", name)`` or ``("expr", name)``.
-        Structural fallback keys are 1-tuples of a structural expression
-        key whose term is evaluated directly.
-        """
-        # Single unit-coefficient term: return the raw term value (this also
-        # covers non-numeric equality keys such as object identity).
-        if len(expr_key) == 1 and expr_key[0][1] == 1:
-            return self._evaluate_term(expr_key[0][0])
-        # an int start keeps integer state exact (a 0.0 start would round
-        # sums beyond 2**53)
-        total = 0
-        for term_key, coeff in expr_key:
-            total += coeff * self._evaluate_term(term_key)
-        return total
-
-    def _evaluate_term(self, term_key: Any) -> Any:
-        if isinstance(term_key, tuple) and len(term_key) == 2 and term_key[0] == "var":
-            return getattr(self.monitor, term_key[1])
-        expr = self._expr_cache.get(term_key)
-        if expr is not None:
-            return expr.evaluate(self.monitor)
-        raise TypeError(f"cannot evaluate term {term_key!r}")
-
     def waiting_count(self) -> int:
-        return len(self.waiters)
+        """Racy count of parked waiters, parked baseline threads
+        included."""
+        return len(self.waiters) + len(self._parked)

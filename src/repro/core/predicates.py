@@ -430,9 +430,9 @@ class Predicate:
     synthesis cost.
 
     ``_plan`` is the condition manager's registration plan for this
-    predicate (tags, expression nodes, compiled key evaluators), built at
-    its first park and reused by every later park on any monitor: an
-    immutable tuple, replaced once when its key evaluators are compiled.
+    predicate (tags, key evaluators), built at its first park and reused
+    by every later park on any monitor: an immutable tuple, replaced when
+    its key evaluators are built.
     Each store publishes a whole plan, and two threads that build it at
     once store equal ones.
     """

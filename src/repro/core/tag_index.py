@@ -14,6 +14,14 @@ Per monitor, the condition manager keeps:
   heap order is the exact order of the constants and a false root rules
   out the whole heap.
 
+Each table and each heap holds the evaluator of its own shared expression
+(``evaluate``, monitor → value), so a probe evaluates that expression once
+per table or heap and calls nothing else.  A registration that files a tag
+into a holder with no evaluator sets it; a table is deleted when its last
+record empties, and a heap (kept, with its pruned records) drops its
+evaluator then, so an evaluator lives exactly as long as some waiter
+needs it.  Both are written only under the monitor lock.
+
 Untagged (None-tag) conjunctions never reach the index: the condition
 manager files them in its dependency buckets.  Each record holds the
 waiters whose predicate owns a conjunction with that tag; multiple
@@ -32,12 +40,13 @@ from __future__ import annotations
 
 import heapq
 import operator
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 from repro.core.tags import Tag, TagKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.waiter import Waiter
+    from repro.runtime.metrics import Metrics
 
 #: threshold operator → its C comparison, called as ``holds(value, key)``
 _HOLDS = {"<": operator.lt, "<=": operator.le,
@@ -47,15 +56,17 @@ _HOLDS = {"<": operator.lt, "<=": operator.le,
 class TagRecord:
     """All waiters sharing one tag identity."""
 
-    __slots__ = ("tag", "key", "holds", "waiters")
+    __slots__ = ("tag", "key", "holds", "waiters", "holder")
 
-    def __init__(self, tag: Tag):
+    def __init__(self, tag: Tag, holder: "EquivalenceTable | ThresholdHeap"):
         self.tag = tag
         #: the tag's constant and, for a threshold tag, its comparison —
         #: copied here so a heap probe reads two slots, not the dataclass
         self.key = tag.key
         self.holds = _HOLDS.get(tag.op)
         self.waiters: list["Waiter"] = []
+        #: the table or heap this record is filed in
+        self.holder = holder
 
     def __repr__(self):
         return f"TagRecord({self.tag}, {len(self.waiters)} waiters)"
@@ -70,14 +81,28 @@ class TagRecord:
 _ENTRY_RECORD = 3
 
 
+class EquivalenceTable:
+    """The equivalence tag records of one shared expression, by constant."""
+
+    __slots__ = ("evaluate", "records")
+
+    def __init__(self):
+        #: the shared expression's evaluator, set by the first registration
+        self.evaluate: Optional[Callable[[Any], Any]] = None
+        self.records: dict[Any, TagRecord] = {}
+
+
 class ThresholdHeap:
     """One heap of threshold tag records for a single shared expression."""
 
-    __slots__ = ("ascending", "_heap", "_records", "_live", "_seq")
+    __slots__ = ("ascending", "evaluate", "_heap", "_records", "_live",
+                 "_seq")
 
     def __init__(self, ascending: bool):
         #: ascending=True → `>`/`>=` family (check smallest key first)
         self.ascending = ascending
+        #: the shared expression's evaluator while a record holds a waiter
+        self.evaluate: Optional[Callable[[Any], Any]] = None
         self._heap: list[tuple] = []
         self._records: dict[tuple, TagRecord] = {}
         #: count of records that currently hold waiters, maintained
@@ -89,7 +114,7 @@ class ThresholdHeap:
     def record_for(self, tag: Tag) -> TagRecord:
         rec = self._records.get(tag.identity())
         if rec is None:
-            rec = TagRecord(tag)
+            rec = TagRecord(tag, self)
             self._records[tag.identity()] = rec
             strictness = 0 if tag.op in ("<=", ">=") else 1
             self._seq += 1
@@ -104,8 +129,11 @@ class ThresholdHeap:
         self._live += 1
 
     def note_vacated(self) -> None:
-        """A record of this heap went non-empty → empty."""
+        """A record of this heap went non-empty → empty; the last one takes
+        the evaluator with it."""
         self._live -= 1
+        if not self._live:
+            self.evaluate = None
 
     def prune_empty(self) -> None:
         """Drop records whose last waiter left (lazy: rebuild when stale)."""
@@ -155,32 +183,33 @@ def _first_true(records, predicate_true) -> "Waiter | None":
 class TagIndex:
     """The complete per-monitor tag structure."""
 
-    __slots__ = ("eq_tables", "heaps", "_eq_records")
+    __slots__ = ("eq_tables", "heaps")
 
     def __init__(self):
-        #: (expr_key, exact) → {constant → TagRecord}
-        self.eq_tables: dict[tuple[Any, bool], dict[Any, TagRecord]] = {}
+        #: (expr_key, exact) → EquivalenceTable
+        self.eq_tables: dict[tuple[Any, bool], EquivalenceTable] = {}
         #: (expr_key, ascending, exact) → ThresholdHeap
         self.heaps: dict[tuple[Any, bool, bool], ThresholdHeap] = {}
-        self._eq_records: dict[tuple, TagRecord] = {}
 
     # -- registration ---------------------------------------------------------
     def add(self, tag: Tag, waiter: "Waiter") -> TagRecord:
-        """File ``waiter`` under an Equivalence or Threshold ``tag``."""
+        """File ``waiter`` under an Equivalence or Threshold ``tag``.  The
+        record's holder has no evaluator when this made it live: the caller
+        sets one."""
         if tag.kind is TagKind.EQUIVALENCE:
-            rec = self._eq_records.get(tag.identity())
+            where = (tag.expr_key, tag.exact)
+            table = self.eq_tables.get(where)
+            if table is None:
+                table = self.eq_tables[where] = EquivalenceTable()
+            rec = table.records.get(tag.key)
             if rec is None:
-                rec = TagRecord(tag)
-                self._eq_records[tag.identity()] = rec
-                self.eq_tables.setdefault((tag.expr_key, tag.exact),
-                                          {})[tag.key] = rec
+                rec = table.records[tag.key] = TagRecord(tag, table)
             rec.waiters.append(waiter)
             return rec
         where = (tag.expr_key, tag.op in (">", ">="), tag.exact)
         heap = self.heaps.get(where)
         if heap is None:
-            heap = ThresholdHeap(where[1])
-            self.heaps[where] = heap
+            heap = self.heaps[where] = ThresholdHeap(where[1])
         rec = heap.record_for(tag)
         if not rec.waiters:
             heap.note_occupied()
@@ -190,41 +219,36 @@ class TagIndex:
     def remove(self, record: TagRecord, waiter: "Waiter") -> None:
         try:
             record.waiters.remove(waiter)
-            removed = True
         except ValueError:
-            removed = False
-        if not record.waiters:
-            tag = record.tag
-            if tag.kind is TagKind.EQUIVALENCE:
-                self._eq_records.pop(tag.identity(), None)
-                where = (tag.expr_key, tag.exact)
-                table = self.eq_tables.get(where)
-                if table is not None:
-                    table.pop(tag.key, None)
-                    if not table:
-                        del self.eq_tables[where]
-            elif removed:
-                # ``removed`` guards the live counter: only the removal that
-                # actually emptied the record vacates it
-                heap = self.heaps.get(
-                    (tag.expr_key, tag.op in (">", ">="), tag.exact))
-                if heap is not None:
-                    heap.note_vacated()
-                    heap.prune_empty()
+            return
+        if record.waiters:
+            return
+        tag = record.tag
+        holder = record.holder
+        if tag.kind is TagKind.EQUIVALENCE:
+            records = holder.records
+            records.pop(tag.key, None)
+            if not records:
+                self.eq_tables.pop((tag.expr_key, tag.exact), None)
+        else:
+            holder.note_vacated()
+            holder.prune_empty()
 
     # -- search ---------------------------------------------------------------
     def search(
         self,
-        evaluate_expr: Callable[[Any], Any],
+        monitor: Any,
         predicate_true: Callable[["Waiter"], bool],
+        metrics: "Metrics",
     ) -> "Waiter | None":
         """Find one waiter whose predicate is true, cheapest tags first.
 
-        ``evaluate_expr(expr_key)`` evaluates the canonical shared
-        expression against the monitor state; ``predicate_true(waiter)``
-        evaluates the waiter's full closure predicate, and never raises: a
-        predicate that raises poisons its waiter and reads True.  Returns
-        the first satisfied waiter, or None.
+        Each table or heap evaluates its shared expression against
+        ``monitor`` once, counting one ``metrics.tag_checks``;
+        ``predicate_true(waiter)`` evaluates the waiter's full closure
+        predicate, and never raises: a predicate that raises poisons its
+        waiter and reads True.  Returns the first satisfied waiter, or
+        None.
 
         A probe that raises, or a rearranged key read over a value that is
         not an ``int``, is inconclusive: every waiter of that table or heap
@@ -232,11 +256,12 @@ class TagIndex:
         """
         # 1. Equivalence tables: one expression evaluation + one hash probe
         # (equal numbers hash equal, so a float value finds an int key).
-        for (expr_key, exact), table in self.eq_tables.items():
+        for (_expr, exact), table in self.eq_tables.items():
+            metrics.tag_checks += 1
             try:
-                value = evaluate_expr(expr_key)
+                value = table.evaluate(monitor)
                 if exact or type(value) is int:
-                    rec = table.get(value)
+                    rec = table.records.get(value)
                     if rec is not None:
                         for waiter in rec.waiters:
                             if predicate_true(waiter):
@@ -244,17 +269,18 @@ class TagIndex:
                     continue
             except Exception:  # noqa: BLE001 — the waiters' predicates decide
                 pass
-            waiter = _first_true(table.values(), predicate_true)
+            waiter = _first_true(table.records.values(), predicate_true)
             if waiter is not None:
                 return waiter
         # 2. Threshold heaps.  The root holds the weakest tag of its heap, so
         # a false root ends the heap at one evaluation and one comparison;
         # only a true root starts Algorithm 2's walk.
-        for (expr_key, _asc, exact), heap in self.heaps.items():
+        for (_expr, _asc, exact), heap in self.heaps.items():
             if not heap._live:
                 continue
+            metrics.tag_checks += 1
             try:
-                value = evaluate_expr(expr_key)
+                value = heap.evaluate(monitor)
                 if exact or type(value) is int:
                     root = heap._heap[0][_ENTRY_RECORD]
                     if not root.holds(value, root.key):

@@ -2,9 +2,8 @@
 
 Each blocked ``wait_until`` call owns a Waiter: its closure predicate (and
 the predicate's compiled evaluator), the tag records it was indexed under,
-the registration plan whose expression-cache keys it pinned, and its
-thread's :class:`~repro.runtime.parking.Parker`, so that the relay rule can
-wake exactly this thread (the framework never broadcasts; relay
+and its thread's :class:`~repro.runtime.parking.Parker`, so that the relay
+rule can wake exactly this thread (the framework never broadcasts; relay
 invariance makes ``signalAll`` unnecessary).  A signal sets ``signaled``
 and unparks the thread, under the monitor lock; the parked thread loops
 until it sees ``signaled`` (or its deadline or cancel token fires), so a
@@ -48,7 +47,7 @@ class Waiter:
     """One blocked thread's registration with a condition manager."""
 
     __slots__ = (
-        "predicate", "eval_fn", "parker", "signaled", "records", "plan",
+        "predicate", "eval_fn", "parker", "signaled", "records",
         "thread_id", "poison", "read_set", "untagged", "pending",
         "deliver", "baton",
     )
@@ -67,10 +66,6 @@ class Waiter:
         #: available, tree-walking ``Predicate.evaluate`` otherwise
         self.eval_fn: Callable[[Any], Any] = predicate.evaluator()
         self.signaled = False
-        #: the predicate's registration plan while registered (tag-index
-        #: mode): its node and expression keys are what this waiter pinned
-        #: in the manager's refcounted tables
-        self.plan = None
         self.thread_id = threading.get_ident()
         #: the parking thread's permit: a signal unparks it
         self.parker = current_parker()

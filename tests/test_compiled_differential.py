@@ -214,21 +214,19 @@ class TestExprKeyDifferential:
         mgr = _manager()
         for cond in (S.x + 2 * S.y >= 3, S.x - S.y == 1, S.y <= -2):
             mgr._register(Waiter(Predicate(cond), mgr.lock))
-        assert mgr._expr_evalers, "registration should compile expr keys"
+        index = mgr.index
+        holders = [*index.eq_tables.items(), *index.heaps.items()]
+        assert len(holders) == 3
         mgr.monitor.x = x
         mgr.monitor.y = y
-        for key, fn in mgr._expr_evalers.items():
-            if fn is None:
-                continue
-            # force the interpreter path by looking the key up with the
-            # compiled table emptied
-            compiled_value = fn(mgr.monitor)
-            saved = mgr._expr_evalers
-            mgr._expr_evalers = {}
-            try:
-                interpreted_value = mgr._evaluate_expr_key(key)
-            finally:
-                mgr._expr_evalers = saved
+        for where, holder in holders:
+            key = where[0]
+            # registration filed each key's compiled evaluator; the
+            # reference interpreter reads the same key term by term
+            assert holder.evaluate.__code__.co_filename == "<repro.core.compiled>"
+            compiled_value = holder.evaluate(mgr.monitor)
+            interpreted_value = compiled.interpret_expr_key(key, {}.get)(
+                mgr.monitor)
             assert compiled_value == interpreted_value
 
 

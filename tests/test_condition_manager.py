@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core import Monitor, S, compiled, synchronized
 from repro.core import condition_manager as cm_module
+from repro.core.condition_manager import SIGNALING_MODES
 from repro.core.expressions import SharedExpr
 from repro.core.predicates import Predicate
 from repro.core.waiter import Waiter
 from repro.preprocess import monitor_compile, waituntil
+from repro.resilience.inspector import Inspector
 from repro.runtime.config import get_config
 from repro.runtime.errors import BrokenMonitorError, WaitTimeoutError
 from repro.runtime.parking import current_parker
@@ -200,14 +202,13 @@ class TestHousekeeping:
             assert done.wait(5)
             t.join(5)
             b.set_xy(0, 0)
-        # after three churn rounds, at most a handful of pooled waiters
-        # (each carrying its recycled condition variable) exist
+        # after three churn rounds, at most a handful of pooled waiters exist
         assert 1 <= len(b._cond_mgr._waiter_pool) <= 4
         # the recycled waiters are fully retired: no predicate references
         assert all(w.predicate is None for w in b._cond_mgr._waiter_pool)
-        # and the expression caches were drained with the last waiter
-        assert b._cond_mgr._expr_cache == {}
-        assert b._cond_mgr._expr_evalers == {}
+        # and the equivalence table, with its evaluator, went with the last
+        # waiter
+        assert b._cond_mgr.index.eq_tables == {}
 
     def test_a_second_deregistration_is_a_no_op(self):
         """Deregistering a waiter twice pools it once: the next two parks
@@ -227,6 +228,43 @@ class TestHousekeeping:
             mgr._deregister(first)
             mgr._deregister(second)
         assert mgr.waiting_count() == 0
+
+    @pytest.mark.parametrize("mode", SIGNALING_MODES)
+    def test_every_view_shows_parked_threads(self, mode):
+        """``waiting_count()``, ``dump_waiters()`` and ``obligation_view()``
+        see parked threads in every mode, baseline's broadcast list
+        included."""
+        b = Board(signaling=mode)
+        mgr = b._cond_mgr
+        threads = [_spawn(b.wait_eq, 1) for _ in range(3)]
+        _until_parked(b, 3)
+        assert b.waiting_count() == 3
+        assert len(b.dump_waiters()) == 3
+        assert len(mgr.obligation_view()) == 3
+        b.set_xy(1, 0)
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads)
+        assert b.waiting_count() == 0
+        assert b.dump_waiters() == [] and mgr.obligation_view() == []
+
+    def test_the_inspector_sees_a_stalled_baseline_monitor(self):
+        b = Board(signaling="baseline")
+        threads = [_spawn(b.wait_eq, 1) for _ in range(2)]
+        _until_parked(b, 2)
+        inspector = Inspector([b], quiet_period=0.1,
+                              on_report=lambda report: None)
+        assert inspector.poll_once() is None
+        time.sleep(0.15)
+        report = inspector.poll_once()
+        assert report is not None
+        (stall,) = report.stalls
+        assert stall.monitor_id == b.monitor_id
+        assert len(stall.waiters) == 2
+        b.set_xy(1, 0)
+        for t in threads:
+            t.join(5)
+        assert not any(t.is_alive() for t in threads)
 
     def test_dump_waiters_describes_predicates(self):
         b = Board()
@@ -673,7 +711,8 @@ class TestRegistrationPlan:
             self._park_once(s)
         assert mgr.metrics.waits == waits + 10
         assert calls == {}
-        assert mgr._expr_evalers == {} and mgr._expr_refs == {}
+        # the heap persists; its evaluator went with the last waiter
+        assert all(h.evaluate is None for h in mgr.index.heaps.values())
 
     def test_a_per_call_predicate_registers_and_wakes(self):
         b = Board()
@@ -682,16 +721,19 @@ class TestRegistrationPlan:
         threads = [_spawn(lambda k=k: (b.wait_at_least(k), woke.append(k)))
                    for k in (3, 5)]
         _until_parked(b, 2)
-        assert len(mgr._expr_evalers) == 1     # one shared key, refcounted
+        (heap,) = mgr.index.heaps.values()     # one shared key, one heap
+        assert heap.evaluate is not None
         b.set_xy(5, 0)
         for t in threads:
             t.join(5)
         assert not any(t.is_alive() for t in threads)
         assert sorted(woke) == [3, 5]
-        assert mgr._expr_evalers == {} and mgr._expr_refs == {}
-        assert mgr._expr_cache == {} and mgr._evaler_refs == {}
+        assert heap.evaluate is None
 
     def test_compile_predicates_off_files_no_key_evaluator(self):
+        """With ``compile_predicates`` off the heap holds the reference
+        interpreter, not a compiled evaluator, and the probe still finds
+        its waiter; the next first waiter after the flip compiles."""
         cfg = get_config()
         prior = cfg.compile_predicates
         pred = Predicate(S.x + S.a >= 2)
@@ -703,13 +745,75 @@ class TestRegistrationPlan:
                 with m._lock:
                     w = Waiter(pred, m._lock)
                     mgr._register(w)
-                    fns = list(mgr._expr_evalers.values())
+                    fns = [h.evaluate for h in mgr.index.heaps.values()]
                     m.x = 2
                     assert mgr.relay_signal() is w
                     mgr._deregister(w)
                     m.x = 0
                     mgr.relay_signal()
                 assert len(fns) == 1
-                assert (fns[0] is not None) is compile_on
+                is_compiled = (fns[0].__code__.co_filename
+                               == "<repro.core.compiled>")
+                assert is_compiled is compile_on
         finally:
             cfg.compile_predicates = prior
+
+    def test_a_declined_key_probes_through_its_holders_interpreter(
+            self, monkeypatch):
+        """Where compilation declines a key, its table or heap holds the
+        reference interpreter: the probe evaluates it once per holder, one
+        tag check each, and each holder drops it with its last waiter."""
+        evaluated = []
+        interpret = compiled.interpret_expr_key
+
+        def recording(key, resolve):
+            fn = interpret(key, resolve)
+
+            def recorded(m):
+                evaluated.append(key)
+                return fn(m)
+            return recorded
+
+        monkeypatch.setattr(compiled, "compile_expr_key",
+                            lambda key, resolve: None)
+        monkeypatch.setattr(compiled, "interpret_expr_key", recording)
+        m = _cells()
+        mgr = m._cond_mgr
+        with m._lock:
+            threshold = _parked(m, S.x + S.a >= 2)
+            equivalence = _parked(m, S.b == 3)
+            ((eq_where, table),) = mgr.index.eq_tables.items()
+            ((heap_where, heap),) = mgr.index.heaps.items()
+            checks = mgr.metrics.tag_checks
+            m.x = 2
+            assert mgr.relay_signal() is threshold
+            assert evaluated == [eq_where[0], heap_where[0]]
+            assert mgr.metrics.tag_checks == checks + 2
+            mgr._deregister(threshold)
+            assert heap.evaluate is None
+            del evaluated[:]
+            m.b = 3
+            assert mgr.relay_signal() is equivalence
+            assert evaluated == [eq_where[0]]
+            assert mgr.metrics.tag_checks == checks + 3
+            assert table.evaluate is not None
+            mgr._deregister(equivalence)
+            assert mgr.index.eq_tables == {}
+
+    def test_a_key_a_live_holder_covers_compiles_nothing(self, monkeypatch):
+        """A per-call predicate parking on a key a parked waiter's heap
+        already evaluates reuses that heap's evaluator."""
+        m = _cells()
+        mgr = m._cond_mgr
+        calls = {}
+        _counting(monkeypatch, compiled, "compile_expr_key", calls)
+        with m._lock:
+            first = _parked(m, S.x + S.a >= 2)
+            assert calls == {"compile_expr_key": 1}
+            (heap,) = mgr.index.heaps.values()
+            evaluate = heap.evaluate
+            second = _parked(m, S.x + S.a >= 5)
+            assert calls == {"compile_expr_key": 1}
+            assert heap.evaluate is evaluate
+            mgr._deregister(first)
+            mgr._deregister(second)

@@ -8,6 +8,7 @@ from repro.core.predicates import Predicate
 from repro.core.tag_index import TagIndex, ThresholdHeap, TagRecord
 from repro.core.tags import Tag, TagKind, tag_predicate
 from repro.core.waiter import Waiter
+from repro.runtime.metrics import Metrics
 
 import threading
 
@@ -22,7 +23,11 @@ def _index_with(*conditions):
     for condition in conditions:
         w = _waiter(condition)
         for tag in tag_predicate(w.predicate.conjunctions):
-            w.records.append(index.add(tag, w))
+            rec = index.add(tag, w)
+            w.records.append(rec)
+            if rec.holder.evaluate is None:
+                rec.holder.evaluate = (
+                    lambda monitor, key=tag.expr_key: _eval_key(key, monitor))
         waiters.append(w)
     return index, waiters
 
@@ -34,8 +39,9 @@ class FakeMonitor:
 
 def _search(index, monitor):
     return index.search(
-        lambda key: _eval_key(key, monitor),
+        monitor,
         lambda w: w.predicate.evaluate(monitor),
+        Metrics(),
     )
 
 
